@@ -18,7 +18,6 @@
 #include "das/das.h"
 #include "nn/zoo.h"
 #include "obs/perf/bench.h"
-#include "serve/service.h"
 
 using namespace a3cs;
 using obs::perf::Bench;
@@ -105,52 +104,6 @@ BENCH("das_step") {
         .run([&] {
           for (int i = 0; i < batch; ++i) engine.step(r14_specs(), 1);
         });
-  }
-}
-
-// Serving-layer throughput (docs/SERVING.md): one PredictorService fed
-// batches of candidate configs for the deepest zoo net. "cold" clears the
-// memo-cache before every batch (every config evaluated); "warm" pre-fills
-// it (every config a digest + shard-lock + refcount bump). The ISSUE-8
-// acceptance gate compares warm batched at 8 threads against cold serial:
-// the hit path must win on the predictor's own turf, a ~μs analytic model.
-BENCH("serve_batch") {
-  const auto specs = nn::zoo_model_specs("ResNet-74", nn::ObsSpec{3, 12, 12},
-                                         4);
-  accel::AcceleratorSpace space(4, nn::num_groups(specs));
-  const int n = b.smoke() ? 8 : 512;
-  util::Rng rng(5);
-  std::vector<accel::AcceleratorConfig> configs;
-  configs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    configs.push_back(space.decode(space.random_choices(rng)));
-  }
-  accel::Predictor pred;
-  const std::vector<int> thread_counts =
-      b.smoke() ? std::vector<int>{1} : std::vector<int>{1, 8, 16};
-  for (int threads : thread_counts) {
-    serve::PredictorService service(pred);
-    const serve::PreparedNet net = service.prepare(specs);
-    b.config("cold")
-        .threads(threads)
-        .items(n, "configs/s")
-        .budget(steady_budget(2.0))
-        .run([&] {
-      service.cache().clear();
-      volatile bool sink =
-          service.evaluate_batch(net, configs).back().eval().feasible;
-      (void)sink;
-    });
-    service.evaluate_batch(net, configs);  // pre-fill for the warm rows
-    b.config("warm")
-        .threads(threads)
-        .items(n, "configs/s")
-        .budget(steady_budget(0.3))
-        .run([&] {
-      volatile bool sink =
-          service.evaluate_batch(net, configs).back().eval().feasible;
-      (void)sink;
-    });
   }
 }
 

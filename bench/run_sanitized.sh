@@ -23,11 +23,11 @@
 # and --chrome-check). The TSan pass
 # instead targets the parallel execution layer: the thread pool itself plus
 # every kernel and subsystem that dispatches onto it (GEMM/im2col, VecEnv
-# stepping, the top-K NAS backward) and the guard's cross-thread pieces
-# (the global FaultInjector, the metrics it bumps), run with A3CS_THREADS=4
-# so the pool actually fans out. The standalone UBSan pass sweeps the
-# numeric layers — tensor kernels, nn layers/optimizers, the NAS/DAS/accel
-# math — where signed overflow and bad float casts would hide.
+# stepping, the top-K NAS backward, the DAS predictor sweep) and the guard's
+# cross-thread pieces (the global FaultInjector, the metrics it bumps), run
+# with A3CS_THREADS=4 so the pool actually fans out. The standalone UBSan
+# pass sweeps the numeric layers — tensor kernels, nn layers/optimizers, the
+# NAS/DAS/accel math — where signed overflow and bad float casts would hide.
 #
 # Every pass finishes with a kernel-backend stage: when the host supports
 # the avx2 backend (probed via `bench_kernels --backends`), the numeric
@@ -42,7 +42,7 @@ BUILD="$ROOT/build-san-$SAN"
 SMOKE=""
 
 if [ "$SAN" = "thread" ]; then
-  TESTS="thread_pool_test tensor_test arcade_test determinism_test guard_test serve_test"
+  TESTS="thread_pool_test tensor_test arcade_test determinism_test guard_test das_test"
   # Skip the (wall-clock) stall-watchdog cases: TSan's slowdown makes any
   # timing threshold meaningless.
   GUARD_FILTER="-*Stall*"
@@ -52,9 +52,9 @@ elif [ "$SAN" = "undefined" ]; then
   TESTS="tensor_test nn_layers_test nn_optim_test nn_zoo_test rl_test nas_test accel_test das_test core_test"
   GUARD_FILTER=""
 else
-  TESTS="util_test obs_test thread_pool_test ckpt_test io_test guard_test guard_recovery_test perf_test serve_test fleet_test fleet_resume_test"
+  TESTS="util_test obs_test thread_pool_test ckpt_test io_test guard_test guard_recovery_test perf_test fleet_test fleet_resume_test"
   GUARD_FILTER=""
-  SMOKE="cosearch_full cosearch_fleet bench_kernels bench_report predictor_server"
+  SMOKE="cosearch_full cosearch_fleet bench_kernels bench_report"
 fi
 
 cmake -B "$BUILD" -S "$ROOT" -DA3CS_SANITIZE="$SAN" -DA3CS_WERROR=ON >/dev/null
@@ -118,33 +118,6 @@ if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
       --chrome-check "$PERF_DIR/trace.json" || status=$?
   fi
   rm -rf "$PERF_DIR"
-fi
-
-# Predictor-server smoke (ASan pass only): pipe an NDJSON script — ping,
-# network info, a real eval, a repeat eval that must come back from the
-# memo-cache, and two malformed lines that must produce error replies rather
-# than a crash — through the stdin transport and require one reply per
-# request plus a clean EOF shutdown (docs/SERVING.md).
-if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
-  echo "== predictor_server stdin smoke ($SAN) =="
-  SRV_OUT="$(mktemp "${TMPDIR:-/tmp}/a3cs_serve_smoke.XXXXXX")"
-  CFG='chunks=1;alloc=0,0,0;chunk=6x6,noc=0,df=1,toc=4,tic=8,split=0.34000000000000002:0.33000000000000002:0.33000000000000002'
-  {
-    printf '%s\n' '{"op":"ping","id":1}'
-    printf '%s\n' '{"op":"info","id":2,"network":"Vanilla"}'
-    printf '{"op":"eval","id":3,"network":"Vanilla","configs":["%s"]}\n' "$CFG"
-    printf '{"op":"eval","id":4,"network":"Vanilla","configs":["%s"]}\n' "$CFG"
-    printf '%s\n' 'this is not json'
-    printf '%s\n' '{"op":"frobnicate","id":5}'
-    printf '%s\n' '{"op":"stats","id":6}'
-  } | "$BUILD/examples/predictor_server" --quiet > "$SRV_OUT" || status=$?
-  if [ "$status" -eq 0 ]; then
-    [ "$(wc -l < "$SRV_OUT")" -eq 7 ] || { echo "smoke: expected 7 replies"; status=1; }
-    grep -q '"id":3,"op":"eval"' "$SRV_OUT" || { echo "smoke: eval reply missing"; status=1; }
-    grep -q '"cached":true' "$SRV_OUT" || { echo "smoke: repeat eval missed the cache"; status=1; }
-    [ "$(grep -c '"ok":false' "$SRV_OUT")" -eq 2 ] || { echo "smoke: expected 2 error replies"; status=1; }
-  fi
-  rm -f "$SRV_OUT"
 fi
 
 # Fleet kill-one smoke (ASan pass only): run a 2-worker fleet, kill worker 0

@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
   std::vector<const obs::JsonValue*> phases;
   std::vector<const obs::JsonValue*> profile_nodes;
   std::vector<const obs::JsonValue*> guard_events;
-  std::vector<const obs::JsonValue*> serve_batches;
   std::vector<const obs::JsonValue*> fleet_events;
   std::int64_t iters = 0;
   double span_ms = 0.0;
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
     if (type == "phase") phases.push_back(&ev);
     if (type == "profile") profile_nodes.push_back(&ev);
     if (type == "guard_event") guard_events.push_back(&ev);
-    if (type == "serve_batch") serve_batches.push_back(&ev);
     if (type == "fleet_event") fleet_events.push_back(&ev);
     if (type == "cosearch_iter") {
       ++iters;
@@ -128,9 +126,9 @@ int main(int argc, char** argv) {
 
   // ---- hierarchical profile (from A3CS_PROFILE=1 runs) ------------------
   if (!profile_nodes.empty()) {
-    // A trace may carry several profile snapshots (e.g. one at co-search end
-    // and one at pipeline end); keep only each path's final — most complete —
-    // emission, preserving the file (DFS) order of that last block.
+    // A trace may carry several profile snapshots (e.g. one per run when
+    // runs share a trace file); keep only each path's final — most complete —
+    // emission, in the file (DFS) order of that last block.
     std::map<std::string, std::size_t> last_pos;
     for (std::size_t i = 0; i < profile_nodes.size(); ++i) {
       last_pos[profile_nodes[i]->string_or("path", "?")] = i;
@@ -184,35 +182,6 @@ int main(int argc, char** argv) {
                      f->string_or("detail", "")});
     }
     table.print(std::cout);
-  }
-
-  // ---- predictor serving / memo-cache (docs/SERVING.md) -----------------
-  if (!serve_batches.empty()) {
-    double requests = 0.0, unique = 0.0, hits = 0.0, computed = 0.0;
-    double total_ms = 0.0;
-    for (const auto* b : serve_batches) {
-      requests += b->number_or("batch", 0.0);
-      unique += b->number_or("unique", 0.0);
-      hits += b->number_or("hits", 0.0);
-      computed += b->number_or("computed", 0.0);
-      total_ms += b->number_or("dur_ms", 0.0);
-    }
-    const double deduped = requests - unique;
-    std::cout << "\nPredictor serving (" << serve_batches.size()
-              << " batches):\n";
-    util::TextTable table({"quantity", "count", "% of requests"});
-    const auto pct = [&](double v) {
-      return fmt(requests > 0 ? 100.0 * v / requests : 0.0);
-    };
-    table.add_row({"requests", fmt(requests), "100"});
-    table.add_row({"deduped in-flight", fmt(deduped), pct(deduped)});
-    table.add_row({"cache hits", fmt(hits), pct(hits)});
-    table.add_row({"evaluated", fmt(computed), pct(computed)});
-    table.print(std::cout);
-    std::cout << "serving time " << fmt(total_ms) << " ms ("
-              << fmt(total_ms > 0 ? requests / (total_ms / 1e3) : 0.0)
-              << " configs/s); served-from-memo rate "
-              << pct(requests - computed) << "%\n";
   }
 
   // ---- search trajectory ------------------------------------------------

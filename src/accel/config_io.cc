@@ -40,9 +40,8 @@ double to_double(const std::string& s) {
 std::string encode_config(const AcceleratorConfig& config) {
   std::ostringstream oss;
   // max_digits10 so the buffer-split doubles survive decode(encode(cfg))
-  // byte-identically — the encoded text is the canonical form behind the
-  // serving layer's cache keys, where a ULP of drift would make the same
-  // config hash differently after a wire round trip (docs/SERVING.md).
+  // byte-identically: checkpoints, result files and the fleet frontier all
+  // carry the encoded text, and a restored config must be the same config.
   oss.precision(17);
   oss << "chunks=" << config.num_chunks() << ";alloc=";
   for (std::size_t i = 0; i < config.group_to_chunk.size(); ++i) {

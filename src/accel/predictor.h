@@ -26,10 +26,10 @@ namespace a3cs::accel {
 
 // Config-independent per-layer workload quantities — everything evaluate()
 // needs from a LayerSpec, decomposed once per network instead of once per
-// candidate config. The serving layer (src/serve) hoists this out of the
-// per-config loop: a batched request touching thousands of configs pays the
-// decomposition exactly once. Values are the *same doubles* the spec-based
-// path computes, so prepared evaluation is bit-exact with evaluate(specs,...).
+// candidate config. The DAS sweeps (src/das) hoist this out of the
+// per-config loop, so a search touching thousands of configs pays the
+// decomposition once. Values are the *same doubles* the spec-based path
+// computes, so prepared evaluation is bit-exact with evaluate(specs,...).
 struct LayerWorkload {
   double macs = 0.0;
   int ic = 1;  // reduction channels (1 for depthwise — nothing to reduce)
@@ -109,8 +109,8 @@ class Predictor {
                   const AcceleratorConfig& config) const;
 
   // Same evaluation from a hoisted decomposition (bit-exact with the
-  // spec-based overload; see LayerWorkload). The fast path for batched
-  // serving, where one network meets thousands of candidate configs.
+  // spec-based overload; see LayerWorkload). The fast path for search
+  // sweeps, where one network meets thousands of candidate configs.
   HwEval evaluate(const PreparedNetwork& net,
                   const AcceleratorConfig& config) const;
 
@@ -120,8 +120,6 @@ class Predictor {
   double scalar_cost(const HwEval& eval) const;
 
   const FpgaBudget& budget() const { return budget_; }
-  const EnergyModel& energy_model() const { return energy_; }
-  const CostWeights& cost_weights() const { return weights_; }
 
  private:
   // Shared body of both evaluate() overloads, abstracted over how the i-th

@@ -864,19 +864,10 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
       .kv("hw_fps", result.hw_eval.fps)
       .kv("hw_dsp", static_cast<std::int64_t>(result.hw_eval.dsp_used))
       .kv("hw_feasible", result.hw_eval.feasible);
-  // When an outer scope (run_a3cs_pipeline) owns the trace session, it also
-  // owns the end-of-run profile report — reporting here would snapshot the
-  // tree mid-pipeline with the enclosing phase scopes still open.
-  const bool owns_reporting = trace_session.active() || !obs::trace_active();
-  if (obs_cfg.profile_enabled && owns_reporting) {
-    if (obs::trace_active()) {
-      obs::Profiler::global().emit_to_trace(*obs::global_trace());
-    }
-    if (obs_cfg.profile_summary) {
-      std::ostringstream oss;
-      obs::Profiler::global().print_summary(oss);
-      A3CS_LOG(INFO) << "co-search wall-time profile:\n" << oss.str();
-    }
+  // Inside an enclosing scope (run_a3cs_pipeline's phases) the outer run
+  // owns the report: reporting here would snapshot the tree mid-pipeline.
+  if (obs_cfg.profile_enabled && !obs::Profiler::in_scope()) {
+    obs::report_profile("co-search", obs_cfg.profile_summary);
   }
   return result;
 }

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <chrono>
-#include <sstream>
 
 #include "arcade/games.h"
 #include "obs/perf/chrome_trace.h"
@@ -154,13 +153,8 @@ PipelineResult run_a3cs_pipeline(const std::string& game_title,
       .kv("fps", result.hw.fps)
       .kv("dsp", static_cast<std::int64_t>(result.hw.dsp_used))
       .kv("feasible", result.hw.feasible);
-  if (obs_cfg.profile_enabled && trace_session.active()) {
-    obs::Profiler::global().emit_to_trace(*trace_session.writer());
-    if (obs_cfg.profile_summary) {
-      std::ostringstream oss;
-      obs::Profiler::global().print_summary(oss);
-      A3CS_LOG(INFO) << "pipeline wall-time profile:\n" << oss.str();
-    }
+  if (obs_cfg.profile_enabled && !obs::Profiler::in_scope()) {
+    obs::report_profile("pipeline", obs_cfg.profile_summary);
   }
   return result;
 }

@@ -7,11 +7,10 @@
 #include "accel/config_io.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-// Deliberate upward edge — see the das.h include note. A3CS_LINT(arch-layering)
-#include "serve/service.h"
 #include "tensor/serialize.h"
 #include "util/logging.h"
 #include "util/state_io.h"
+#include "util/thread_pool.h"
 
 namespace a3cs::das {
 
@@ -31,33 +30,32 @@ struct DrawnSample {
 
 struct EvaluatedSample {
   accel::AcceleratorConfig config;
-  serve::CachedEvalPtr value;  // shared with the service's memo-cache
-
-  const accel::HwEval& eval() const { return value->eval; }
-  double cost() const { return value->cost; }
+  HwEval eval;
+  double cost = 0.0;
 };
 
-// All predictor sweeps go through the serving layer: the per-layer
-// decomposition is hoisted into `net`, repeated configs hit the memo-cache,
-// and PredictorService::evaluate_batch fans the misses over the pool with
-// fixed sharding — bit-exact with a serial loop at any thread count.
-void evaluate_batch(const AcceleratorSpace& space,
-                    serve::PredictorService& service,
-                    const serve::PreparedNet& net,
+// Decodes and evaluates every drawn sample, one pool task each. The
+// predictor is pure and every task writes its own slot, so the results are
+// bit-exact with a serial loop at any thread count.
+void evaluate_batch(const AcceleratorSpace& space, const Predictor& predictor,
+                    const accel::PreparedNetwork& net,
                     const std::vector<DrawnSample>& drawn,
                     std::vector<EvaluatedSample>& out) {
   A3CS_PROF_SCOPE("das-eval");
-  std::vector<accel::AcceleratorConfig> configs(drawn.size());
-  for (std::size_t i = 0; i < drawn.size(); ++i) {
-    configs[i] = space.decode(drawn[i].choices);
-  }
-  std::vector<serve::ServeResult> results =
-      service.evaluate_batch(net, configs);
   out.resize(drawn.size());
-  for (std::size_t i = 0; i < drawn.size(); ++i) {
-    out[i].config = std::move(configs[i]);
-    out[i].value = std::move(results[i].value);
-  }
+  // perfbench reads this label as the DAS sweep's util.pool.tasks row.
+  util::parallel_for(
+      0, static_cast<std::int64_t>(drawn.size()), 1,
+      [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          EvaluatedSample& ev = out[k];
+          ev.config = space.decode(drawn[k].choices);
+          ev.eval = predictor.evaluate(net, ev.config);
+          ev.cost = predictor.scalar_cost(ev.eval);
+        }
+      },
+      "serve-eval");
 }
 
 }  // namespace
@@ -66,7 +64,6 @@ DasEngine::DasEngine(const AcceleratorSpace& space, const Predictor& predictor,
                      DasConfig cfg)
     : space_(space),
       predictor_(predictor),
-      service_(predictor),
       cfg_(cfg),
       opt_(cfg.lr),
       rng_(cfg.seed),
@@ -90,9 +87,9 @@ double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
   params.reserve(phis_.size());
   for (auto& phi : phis_) params.push_back(&phi.param());
 
-  // Hoist the per-layer decomposition + signature once per step() call; the
+  // Hoist the per-layer decomposition once per step() call; the
   // co-search loop mutates the network between calls, never within one.
-  const serve::PreparedNet net = service_.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
   for (int it = 0; it < n; ++it) {
@@ -120,25 +117,25 @@ double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
     }
 
     // Phase 2 (parallel): evaluate the predictor on every drawn config.
-    evaluate_batch(space_, service_, net, drawn, evaluated);
+    evaluate_batch(space_, predictor_, net, drawn, evaluated);
 
     // Phase 3 (serial, in draw order): incumbent, baseline and gradients.
     for (int s = 0; s < samples_per_iter; ++s) {
       const DrawnSample& d = drawn[static_cast<std::size_t>(s)];
       const EvaluatedSample& ev = evaluated[static_cast<std::size_t>(s)];
       if (!has_best_seen_ ||
-          (ev.eval().feasible && !best_seen_eval_.feasible) ||
-          (ev.eval().feasible == best_seen_eval_.feasible &&
-           ev.cost() < best_seen_cost_)) {
+          (ev.eval.feasible && !best_seen_eval_.feasible) ||
+          (ev.eval.feasible == best_seen_eval_.feasible &&
+           ev.cost < best_seen_cost_)) {
         has_best_seen_ = true;
         best_seen_config_ = ev.config;
-        best_seen_eval_ = ev.eval();
-        best_seen_cost_ = ev.cost();
+        best_seen_eval_ = ev.eval;
+        best_seen_cost_ = ev.cost;
       }
       if (d.explore) continue;
-      last_cost = ev.cost();
+      last_cost = ev.cost;
 
-      double signal = cfg_.log_cost ? std::log(ev.cost() + 1e-9) : ev.cost();
+      double signal = cfg_.log_cost ? std::log(ev.cost + 1e-9) : ev.cost;
       if (cfg_.use_baseline) {
         if (!baseline_init_) {
           baseline_ = signal;
@@ -289,18 +286,15 @@ DasResult DasEngine::search(const std::vector<nn::LayerSpec>& specs) {
   result.best_cost = std::numeric_limits<double>::infinity();
   bool have_best = false;
   result.cost_curve.reserve(static_cast<std::size_t>(cfg_.iterations));
-  const serve::PreparedNet net = service_.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   for (int it = 0; it < cfg_.iterations; ++it) {
     const double cost = step(specs, 1);
     result.cost_curve.push_back(cost);
-    // Track the best *derived* config periodically (and at the end). The
-    // derived argmax often repeats across checks once phi converges, so this
-    // goes through the memo-cache too.
+    // Track the best *derived* config periodically (and at the end).
     if ((it + 1) % 25 == 0 || it + 1 == cfg_.iterations) {
       const AcceleratorConfig cand = derive();
-      const serve::ServeResult r = service_.evaluate_one(net, cand);
-      const HwEval& eval = r.eval();
-      const double cand_cost = r.cost();
+      const HwEval eval = predictor_.evaluate(net, cand);
+      const double cand_cost = predictor_.scalar_cost(eval);
       if (!have_best || (eval.feasible && !result.eval.feasible) ||
           (eval.feasible == result.eval.feasible &&
            cand_cost < result.best_cost)) {
@@ -334,8 +328,7 @@ DasResult random_search(const AcceleratorSpace& space,
   bool have_best = false;
   // Draw serially (fixed RNG order), evaluate in parallel blocks, reduce
   // serially in draw order — identical results at any thread count.
-  serve::PredictorService service(predictor);
-  const serve::PreparedNet net = service.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   constexpr int kBlock = 256;
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
@@ -345,17 +338,17 @@ DasResult random_search(const AcceleratorSpace& space,
     for (int i = 0; i < count; ++i) {
       drawn[static_cast<std::size_t>(i)].choices = space.random_choices(rng);
     }
-    evaluate_batch(space, service, net, drawn, evaluated);
+    evaluate_batch(space, predictor, net, drawn, evaluated);
     for (int i = 0; i < count; ++i) {
       const EvaluatedSample& ev = evaluated[static_cast<std::size_t>(i)];
-      result.cost_curve.push_back(ev.cost());
-      if (!have_best || (ev.eval().feasible && !result.eval.feasible) ||
-          (ev.eval().feasible == result.eval.feasible &&
-           ev.cost() < result.best_cost)) {
+      result.cost_curve.push_back(ev.cost);
+      if (!have_best || (ev.eval.feasible && !result.eval.feasible) ||
+          (ev.eval.feasible == result.eval.feasible &&
+           ev.cost < result.best_cost)) {
         have_best = true;
         result.config = ev.config;
-        result.eval = ev.eval();
-        result.best_cost = ev.cost();
+        result.eval = ev.eval;
+        result.best_cost = ev.cost;
       }
     }
   }
@@ -374,8 +367,7 @@ DasResult exhaustive_search(const AcceleratorSpace& space,
   std::vector<int> choices(static_cast<std::size_t>(space.num_knobs()), 0);
   // Enumerate the odometer serially into fixed-size blocks, evaluate each
   // block in parallel, reduce serially in enumeration order.
-  serve::PredictorService service(predictor);
-  const serve::PreparedNet net = service.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   constexpr int kBlock = 512;
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
@@ -397,15 +389,15 @@ DasResult exhaustive_search(const AcceleratorSpace& space,
       }
       if (k == space.num_knobs()) exhausted = true;
     }
-    evaluate_batch(space, service, net, drawn, evaluated);
+    evaluate_batch(space, predictor, net, drawn, evaluated);
     for (const EvaluatedSample& ev : evaluated) {
-      if (!have_best || (ev.eval().feasible && !result.eval.feasible) ||
-          (ev.eval().feasible == result.eval.feasible &&
-           ev.cost() < result.best_cost)) {
+      if (!have_best || (ev.eval.feasible && !result.eval.feasible) ||
+          (ev.eval.feasible == result.eval.feasible &&
+           ev.cost < result.best_cost)) {
         have_best = true;
         result.config = ev.config;
-        result.eval = ev.eval();
-        result.best_cost = ev.cost();
+        result.eval = ev.eval;
+        result.best_cost = ev.cost;
       }
     }
   }

@@ -19,10 +19,6 @@
 #include "accel/space.h"
 #include "nas/gumbel.h"
 #include "nn/optim.h"
-// Deliberate upward edge in the layer DAG: the DAS sweep routes candidate
-// evaluations through the serve-layer predictor service (PR 8) so sweeps
-// share the memo-cache with external clients. A3CS_LINT(arch-layering)
-#include "serve/service.h"
 #include "util/rng.h"
 
 namespace a3cs::das {
@@ -91,25 +87,14 @@ class DasEngine {
   // Checkpointing: the COMPLETE search state — phi logits, their Adam
   // moments, the sample RNG, temperature, EMA baseline and the incumbent —
   // so a restored engine continues the search bit-exactly. load throws on
-  // knob-count mismatch or truncation. The memo-cache is deliberately NOT
-  // serialized: the predictor is pure, so a cold cache only re-derives
-  // bit-identical values.
+  // knob-count mismatch or truncation.
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
-
-  // The serving front end every predictor sweep goes through (memo-cache +
-  // batched evaluation; src/serve). Exposed for cache stats/clearing.
-  serve::PredictorService& service() { return service_; }
-  const serve::PredictorService& service() const { return service_; }
 
  private:
   const AcceleratorSpace& space_;
   const Predictor& predictor_;
-  // The service wraps the cache, which is deliberately NOT serialized
-  // (warm-up repopulates it deterministically); cfg_ is construction
-  // config, re-supplied on resume.
-  serve::PredictorService service_;  // A3CS_LINT(ser-field-coverage)
-  DasConfig cfg_;                    // A3CS_LINT(ser-field-coverage)
+  const DasConfig cfg_;  // construction config, re-supplied on resume
   std::vector<nas::GumbelCategorical> phis_;
   nn::Adam opt_;
   util::Rng rng_;

@@ -5,7 +5,7 @@
 //
 // Scaling note (see DESIGN.md): the paper's nets run on 84x84x4 Atari frames;
 // ours run on small multi-plane MiniArcade frames with proportionally smaller
-// channel widths, preserving the FLOPs ladder Vanilla < ResNet-14 < -20 <
+// channel widths, keeping the FLOPs ladder Vanilla < ResNet-14 < -20 <
 // -38 < -74 and the structural choices the paper calls out (first conv
 // stride 2, final FC-256 feature layer).
 #pragma once

@@ -8,7 +8,7 @@
 //   pool.regions_parallel   parallel_for calls that fanned out
 //   pool.regions_inline     parallel_for calls that ran serially inline
 //   pool.tasks.<label>      per-phase task counts (gemm, im2col, env-step,
-//                           nas-topk, das-eval, conv-fwd, conv-bwd, ...)
+//                           nas-topk, serve-eval, conv-fwd, conv-bwd, ...)
 //   pool.regions.<label>    per-phase region counts
 #pragma once
 

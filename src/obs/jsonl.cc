@@ -1,8 +1,6 @@
 #include "obs/jsonl.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -251,16 +249,6 @@ std::vector<JsonValue> parse_jsonl_file(const std::string& path) {
     }
   }
   return out;
-}
-
-void append_json_number_exact(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
 }
 
 }  // namespace a3cs::obs

@@ -53,12 +53,4 @@ class JsonValue {
 // Parses a whole JSONL file: one JSON object per non-empty line.
 std::vector<JsonValue> parse_jsonl_file(const std::string& path);
 
-// Appends a JSON number at max_digits10 precision (%.17g), so
-// parse(append(v)) reproduces v's exact bit pattern — for protocol replies
-// whose numbers feed back into cache keys or comparisons (src/serve).
-// TraceWriter::append_json_number stays at %.12g: trace files are for humans
-// and plots, and the 5 extra digits would bloat every event line.
-// Non-finite doubles become null (JSON has no Inf/NaN).
-void append_json_number_exact(std::string& out, double v);
-
 }  // namespace a3cs::obs

@@ -1,9 +1,11 @@
 #include "obs/profile.h"
 
 #include <cstring>
+#include <sstream>
 
 #include "obs/perf/chrome_trace.h"
 #include "obs/trace.h"
+#include "util/logging.h"
 #include "util/table.h"
 
 namespace a3cs::obs {
@@ -24,6 +26,8 @@ Profiler& Profiler::global() {
   static Profiler* profiler = new Profiler();
   return *profiler;
 }
+
+bool Profiler::in_scope() { return t_cursor != nullptr; }
 
 Profiler::Node* Profiler::enter(const char* name) {
   // Chrome-trace Begin event (and the frame WorkCounters annotate) happens
@@ -131,6 +135,15 @@ void Profiler::reset() {
   for (Node* child : root_.children) delete_subtree(child);
   root_.children.clear();
   t_cursor = nullptr;
+}
+
+void report_profile(const char* run, bool print_summary) {
+  if (trace_active()) Profiler::global().emit_to_trace(*global_trace());
+  if (print_summary) {
+    std::ostringstream oss;
+    Profiler::global().print_summary(oss);
+    A3CS_LOG(INFO) << run << " wall-time profile:\n" << oss.str();
+  }
 }
 
 }  // namespace a3cs::obs

@@ -60,6 +60,11 @@ class Profiler {
     global().enabled_.store(on, std::memory_order_relaxed);
   }
 
+  // True while the calling thread is inside an open scope. A run that finds
+  // itself enclosed (a pipeline phase around a co-search) leaves the
+  // end-of-run report to the enclosing scope's owner.
+  static bool in_scope();
+
   // Enters/leaves a scope on the calling thread. Exposed for ProfScope; not
   // meant to be called directly.
   Node* enter(const char* name);
@@ -89,6 +94,10 @@ class Profiler {
   mutable std::mutex mu_;  // guards tree structure (child creation/iteration)
   Node root_;
 };
+
+// End-of-run report: emits the tree into the active trace, if any, and logs
+// the summary table under "<run> wall-time profile" when `print_summary`.
+void report_profile(const char* run, bool print_summary);
 
 // RAII timer: enters the named scope on construction (when profiling is
 // enabled), accumulates elapsed wall time on destruction.

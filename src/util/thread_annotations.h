@@ -4,9 +4,8 @@
 // The annotations document — and, under clang, statically verify — which
 // mutex guards which member: `std::deque<Task> queue_ A3CS_GUARDED_BY(mu_);`
 // makes any unlocked access a compile error instead of a TSan-only find.
-// Only the concurrency-bearing classes are annotated (util::ThreadPool,
-// serve::ShardedCache); the conc-lock-order lint family covers ordering
-// across the rest of the tree.
+// Only the concurrency-bearing class is annotated (util::ThreadPool); the
+// conc-lock-order lint family covers ordering across the rest of the tree.
 #pragma once
 
 #if defined(A3CS_THREAD_SAFETY) && defined(__clang__)

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "accel/config_io.h"
 #include "accel/dnnbuilder.h"
 #include "accel/fa3c.h"
 #include "accel/predictor.h"
 #include "accel/space.h"
 #include "das/das.h"
+#include "hw_eval_testing.h"
 #include "nn/zoo.h"
 
 namespace a3cs {
@@ -214,6 +217,66 @@ TEST(Predictor, ConfigToStringIsInformative) {
   const std::string s = cfg.to_string();
   EXPECT_NE(s.find("chunk0"), std::string::npos);
   EXPECT_NE(s.find("alloc="), std::string::npos);
+}
+
+// The prepared path hoists the per-layer decomposition out of the DAS
+// sweeps; it must reproduce the spec path bit for bit on every config.
+TEST(Predictor, PreparedPathMatchesSpecPathBitExact) {
+  const auto specs =
+      nn::zoo_model_specs("ResNet-14", nn::ObsSpec{3, 12, 12}, 4);
+  const Predictor pred;
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
+  for (int chunks : {1, 3}) {
+    AcceleratorSpace space(chunks, nn::num_groups(specs));
+    util::Rng rng(static_cast<std::uint64_t>(chunks) * 31 + 21);
+    for (int i = 0; i < 48; ++i) {
+      const AcceleratorConfig cfg = space.decode(space.random_choices(rng));
+      const HwEval spec_eval = pred.evaluate(specs, cfg);
+      const HwEval prepared_eval = pred.evaluate(net, cfg);
+      testing::expect_eval_identical(prepared_eval, spec_eval);
+      EXPECT_EQ(pred.scalar_cost(prepared_eval), pred.scalar_cost(spec_eval));
+    }
+  }
+}
+
+// ------------------------------------------------------------- config_io --
+
+// decode(encode(cfg)) must reproduce the exact bytes of every field:
+// checkpoints, result files and the fleet frontier carry the encoded text.
+TEST(ConfigIo, RoundTripIsByteIdentical) {
+  for (int chunks : {1, 2, 4}) {
+    util::Rng rng(static_cast<std::uint64_t>(chunks) * 1237 + 5);
+    AcceleratorSpace space(chunks, 6);
+    for (int i = 0; i < 32; ++i) {
+      const AcceleratorConfig cfg = space.decode(space.random_choices(rng));
+      const std::string text = accel::encode_config(cfg);
+      const AcceleratorConfig back = accel::decode_config(text);
+      ASSERT_EQ(back.group_to_chunk, cfg.group_to_chunk);
+      for (int c = 0; c < cfg.num_chunks(); ++c) {
+        const auto& a = cfg.chunks[static_cast<std::size_t>(c)];
+        const auto& b = back.chunks[static_cast<std::size_t>(c)];
+        EXPECT_EQ(a.split.input, b.split.input);  // exact, not NEAR
+        EXPECT_EQ(a.split.weight, b.split.weight);
+        EXPECT_EQ(a.split.output, b.split.output);
+      }
+      // Fixed point: re-encoding the decoded config reproduces the text.
+      EXPECT_EQ(accel::encode_config(back), text);
+    }
+  }
+}
+
+// Regression for the %.6g era: splits like 1/3 are not representable in 6
+// significant digits, so the default-constructed chunk used to come back
+// ~1e-7 off after one round trip.
+TEST(ConfigIo, OneThirdSplitSurvivesRoundTrip) {
+  AcceleratorConfig cfg;
+  cfg.chunks.push_back(ChunkConfig{});  // BufferSplit defaults to 1/3
+  cfg.group_to_chunk = {0, 0};
+  const AcceleratorConfig back =
+      accel::decode_config(accel::encode_config(cfg));
+  EXPECT_EQ(back.chunks[0].split.input, 1.0 / 3);
+  EXPECT_EQ(back.chunks[0].split.weight, 1.0 / 3);
+  EXPECT_EQ(back.chunks[0].split.output, 1.0 / 3);
 }
 
 // ----------------------------------------------------------------- space --

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/cosearch.h"
 #include "core/pipeline.h"
+#include "obs/profile.h"
 #include "rl/eval.h"
+#include "util/logging.h"
 
 namespace a3cs {
 namespace {
@@ -122,18 +130,78 @@ TEST(Pipeline, SearchAcceleratorRespectsBudget) {
   EXPECT_LE(eval.dsp_used, 900);
 }
 
-TEST(Pipeline, EndToEndTiny) {
+core::PipelineConfig tiny_pipeline_config() {
   core::PipelineConfig cfg;
   cfg.cosearch = small_config();
   cfg.search_frames = 400;
   cfg.train_frames = 400;
   cfg.final_das.iterations = 100;
   cfg.eval.episodes = 2;
+  return cfg;
+}
+
+TEST(Pipeline, EndToEndTiny) {
+  const core::PipelineConfig cfg = tiny_pipeline_config();
   const auto result = core::run_a3cs_pipeline("Catch", cfg, nullptr);
   EXPECT_EQ(result.arch.choices.size(), 3u);
   EXPECT_GT(result.hw.fps, 0.0);
   EXPECT_FALSE(result.specs.empty());
   ASSERT_NE(result.trained_net, nullptr);
+}
+
+// Calls column of the profile-table row whose scope is `scope`, or -1 when no
+// row has it. Rows look like "| scope | calls | total ms | ... |".
+std::int64_t profile_calls(const std::string& log, const std::string& scope) {
+  std::istringstream lines(log);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    std::string cell;
+    while (std::getline(row, cell, '|')) {
+      const auto b = cell.find_first_not_of(' ');
+      const auto e = cell.find_last_not_of(' ');
+      cells.push_back(b == std::string::npos ? "" : cell.substr(b, e - b + 1));
+    }
+    if (cells.size() > 2 && cells[1] == scope) return std::stoll(cells[2]);
+  }
+  return -1;
+}
+
+// The outermost profiled run prints the one end-of-run profile, after every
+// pipeline stage has closed, whether or not a trace is being written.
+TEST(Pipeline, ProfileReportedOnceAfterEveryStage) {
+  const util::LogLevel saved_level = util::log_threshold();
+  util::set_log_threshold(util::LogLevel::kInfo);
+  const std::string trace_path =
+      ::testing::TempDir() + "core_test_profile_trace.jsonl";
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "with trace path" : "without trace path");
+    core::PipelineConfig cfg = tiny_pipeline_config();
+    cfg.cosearch.obs.profile_enabled = true;
+    cfg.cosearch.obs.trace_enabled = traced;
+    cfg.cosearch.obs.trace_path = traced ? trace_path : "";
+    obs::Profiler::global().reset();
+    ::testing::internal::CaptureStderr();
+    core::run_a3cs_pipeline("Catch", cfg, nullptr);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    obs::Profiler::set_enabled(false);
+    obs::Profiler::global().reset();
+
+    std::size_t summaries = 0;
+    for (std::size_t at = log.find("wall-time profile:");
+         at != std::string::npos;
+         at = log.find("wall-time profile:", at + 1)) {
+      ++summaries;
+    }
+    EXPECT_EQ(summaries, 1u) << log;
+    for (const char* stage : {"pipeline-cosearch", "pipeline-train-derived",
+                              "pipeline-final-das", "pipeline-eval"}) {
+      EXPECT_GT(profile_calls(log, stage), 0) << stage << "\n" << log;
+    }
+  }
+  std::remove(trace_path.c_str());
+  util::set_log_threshold(saved_level);
 }
 
 }  // namespace

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "accel/config_io.h"
 #include "das/das.h"
+#include "hw_eval_testing.h"
 #include "nn/zoo.h"
+#include "util/thread_pool.h"
 
 namespace a3cs {
 namespace {
@@ -135,6 +142,49 @@ TEST(Das, ApproachesExhaustiveOptimumOnTinySpace) {
   // a factor bound is the right scale-free criterion).
   EXPECT_LE(result.best_cost, 2.0 * best.best_cost)
       << "DAS cost " << result.best_cost << " vs optimum " << best.best_cost;
+}
+
+// The sweeps fan predictor evaluations out over the pool; the answer (config,
+// evaluation, cost and the whole cost curve) must not depend on how many
+// threads ran them.
+void expect_result_identical(const das::DasResult& a, const das::DasResult& b) {
+  EXPECT_EQ(accel::encode_config(a.config), accel::encode_config(b.config));
+  testing::expect_eval_identical(a.eval, b.eval);
+  EXPECT_EQ(a.best_cost, b.best_cost);
+  EXPECT_EQ(a.cost_curve, b.cost_curve);
+}
+
+TEST(Das, SweepsAreBitExactAtEveryThreadCount) {
+  const auto specs = resnet14_specs();
+  AcceleratorSpace space(3, nn::num_groups(specs));
+  std::vector<nn::LayerSpec> tiny_specs = {
+      nn::LayerSpec::conv("c", 8, 16, 3, 1, 12, 12)};
+  nn::assign_sequential_groups(tiny_specs);
+  AcceleratorSpace tiny_space(1, 1);
+  Predictor pred;
+  das::DasConfig cfg;
+  cfg.iterations = 60;
+  cfg.samples_per_iter = 8;
+
+  std::vector<das::DasResult> ref;
+  for (int threads : {1, 4, 8}) {
+    util::ThreadPool::set_global_threads(threads);
+    das::DasEngine engine(space, pred, cfg);
+    const std::vector<das::DasResult> got = {
+        engine.search(specs),
+        das::random_search(space, pred, specs, 600, 5),
+        das::exhaustive_search(tiny_space, pred, tiny_specs, 1e6)};
+    if (ref.empty()) {
+      ref = got;
+      continue;
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " sweep=" + std::to_string(i));
+      expect_result_identical(got[i], ref[i]);
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
 }
 
 }  // namespace

@@ -78,7 +78,8 @@ std::vector<FileModel> tree(
   return models;
 }
 
-// Mirrors the committed tools/a3cs_lint/layers.txt DAG.
+// The committed tools/a3cs_lint/layers.txt DAG plus a virtual top-rank
+// `serve` module, the target of the layering fixtures' upward include.
 constexpr const char* kTestLayers =
     "layer util tensor\n"
     "layer nn\n"
