@@ -129,8 +129,8 @@ BENCH("gemm") {
 }
 
 BENCH("conv2d_fwd") {
-  // The paper's 3x3 conv stage lowered through im2col + the backend conv
-  // forward kernels; sweeps the backend dimension like "gemm" above.
+  // The paper's 3x3 conv stage lowered through im2col + one whole-batch
+  // backend GEMM; sweeps the backend dimension like "gemm" above.
   const int n = b.smoke() ? 2 : 8;
   const int ch = b.smoke() ? 4 : 32;
   const int oc = b.smoke() ? 4 : 32;

@@ -3,11 +3,8 @@
 #include <algorithm>
 
 #include "nn/init.h"
-#include "obs/perf/work_counters.h"
 #include "obs/profile.h"
-#include "tensor/backend/backend.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace a3cs::nn {
 
@@ -35,50 +32,33 @@ Tensor Conv2d::forward(const Tensor& x) {
              name_ + ": input shape mismatch " + x.shape().to_string());
   geom_ = ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
   const int ckk = in_c_ * kernel_ * kernel_;
-  const int cols_per_sample = geom_.oh * geom_.ow;
-  cached_cols_ = Tensor(Shape::mat(ckk, geom_.n * cols_per_sample));
-  // im2col lays samples out contiguously along the column axis, so a single
-  // whole-batch call produces per-sample (ckk x ohw) slices.
+  const int ohw = geom_.oh * geom_.ow;
+  const int batch_cols = geom_.n * ohw;
+  cached_cols_ = Tensor(Shape::mat(ckk, batch_cols));
   tensor::im2col(x, geom_, cached_cols_);
   has_cache_ = true;
 
   Tensor out(Shape::nchw(geom_.n, out_c_, geom_.oh, geom_.ow));
-  const int batch_cols = geom_.n * cols_per_sample;
   A3CS_PROF_SCOPE("conv-fwd");
-  {
-    // One FMA per (sample, out-channel, ckk, output-cell); weights and cols
-    // read once each per use, output written once (float32). The zero-weight
-    // skip below only reduces *measured* time, not the analytic model.
-    static obs::perf::WorkCounters& wc =
-        obs::perf::WorkCounters::named("conv-fwd");
-    const std::int64_t out_cells =
-        static_cast<std::int64_t>(geom_.n) * out_c_ * cols_per_sample;
-    wc.add(2 * out_cells * ckk,
-           4 * (static_cast<std::int64_t>(out_c_) * ckk +
-                static_cast<std::int64_t>(ckk) * batch_cols),
-           4 * out_cells);
+  // y(OC x N*ohw) = W(OC x ckk) @ cols(ckk x N*ohw): one whole-batch GEMM.
+  // At N == 1 that is already NCHW, so the GEMM writes straight into `out`
+  // and the pass below only adds the bias in place.
+  Tensor y;
+  if (geom_.n > 1) y = Tensor(Shape::mat(out_c_, batch_cols));
+  float* yd = geom_.n > 1 ? y.data() : out.data();
+  gemm_raw(weight_.value.data(), false, cached_cols_.data(), false, yd, out_c_,
+           ckk, batch_cols);
+  // Re-lay (OC, N, ohw) out as (N, OC, ohw), adding the bias on the way.
+  for (int n = 0; n < geom_.n; ++n) {
+    for (int oc = 0; oc < out_c_; ++oc) {
+      const float* src = yd + static_cast<std::size_t>(oc) * batch_cols +
+                         static_cast<std::size_t>(n) * ohw;
+      float* dst =
+          out.data() + (static_cast<std::size_t>(n) * out_c_ + oc) * ohw;
+      const float b = bias_.value[oc];
+      for (int j = 0; j < ohw; ++j) dst[j] = src[j] + b;
+    }
   }
-  // out_slice(OC x ohw) = W(OC x ckk) @ cols_slice(ckk x ohw) per sample.
-  // cols_slice starts at column n*ohw of the (ckk x N*ohw) matrix, so we
-  // cannot hand the whole batch to one GEMM; instead each (sample, out
-  // channel) row is an independent unit of work — disjoint output rows, so
-  // the fan-out over the pool is race-free and bit-exact at any thread count.
-  // The per-task kernel comes from the active backend (see
-  // tensor/backend/backend.h); shard boundaries are backend-independent.
-  const tensor::backend::Backend& be = tensor::backend::active();
-  const std::int64_t total = static_cast<std::int64_t>(geom_.n) * out_c_;
-  const std::int64_t row_work =
-      static_cast<std::int64_t>(ckk) * cols_per_sample;
-  const std::int64_t grain =
-      std::max<std::int64_t>(1, 65536 / std::max<std::int64_t>(1, row_work));
-  util::parallel_for(
-      0, total, grain,
-      [&](std::int64_t t0, std::int64_t t1) {
-        be.conv_forward_tasks(weight_.value.data(), bias_.value.data(),
-                              cached_cols_.data(), out.data(), out_c_, ckk,
-                              cols_per_sample, batch_cols, t0, t1);
-      },
-      "conv-fwd");
   return out;
 }
 
@@ -91,47 +71,35 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const int ohw = geom_.oh * geom_.ow;
   const int batch_cols = geom_.n * ohw;
   A3CS_PROF_SCOPE("conv-bwd");
-  {
-    // Weight-grad and input-grad passes are each a GEMM-shaped reduction of
-    // the same (n, oc, ckk, ohw) volume — 2 FMAs per element in total.
-    static obs::perf::WorkCounters& wc =
-        obs::perf::WorkCounters::named("conv-bwd");
-    const std::int64_t vol =
-        static_cast<std::int64_t>(geom_.n) * out_c_ * ckk * ohw;
-    const std::int64_t grad_cells = static_cast<std::int64_t>(ckk) * batch_cols;
-    wc.add(4 * vol,
-           4 * (static_cast<std::int64_t>(geom_.n) * out_c_ * ohw +
-                grad_cells + static_cast<std::int64_t>(out_c_) * ckk),
-           4 * (static_cast<std::int64_t>(out_c_) * ckk + grad_cells));
+
+  // g(OC x N*ohw): grad_out with its sample and channel axes swapped, the
+  // layout of the forward GEMM's output.
+  Tensor g_mat(Shape::mat(out_c_, batch_cols));
+  float* g = g_mat.data();
+  for (int n = 0; n < geom_.n; ++n) {
+    for (int oc = 0; oc < out_c_; ++oc) {
+      const float* src =
+          grad_out.data() + (static_cast<std::size_t>(n) * out_c_ + oc) * ohw;
+      std::copy(src, src + ohw,
+                g + static_cast<std::size_t>(oc) * batch_cols +
+                    static_cast<std::size_t>(n) * ohw);
+    }
   }
 
-  // Bias and weight gradients, fanned out over output channels: each oc owns
-  // bias_.grad[oc] and its weight row, so shards write disjoint accumulators.
-  // The batch loop stays innermost and ascending inside the backend kernel,
-  // matching the serial accumulation order bit for bit (per backend).
-  const tensor::backend::Backend& be = tensor::backend::active();
-  util::parallel_for(
-      0, out_c_, 4,
-      [&](std::int64_t oc0, std::int64_t oc1) {
-        be.conv_backward_wgrad(grad_out.data(), cached_cols_.data(),
-                               weight_.grad.data(), bias_.grad.data(),
-                               geom_.n, out_c_, ckk, ohw, batch_cols,
-                               static_cast<int>(oc0), static_cast<int>(oc1));
-      },
-      "conv-bwd");
-
-  // Column gradient, fanned out over samples (disjoint column slices):
-  // grad_cols_slice(ckk x ohw) = W^T(ckk x OC) @ g(OC x ohw).
+  // grad_b += row sums of g (double accumulator, columns ascending).
+  for (int oc = 0; oc < out_c_; ++oc) {
+    const float* grow = g + static_cast<std::size_t>(oc) * batch_cols;
+    double acc = 0.0;
+    for (int j = 0; j < batch_cols; ++j) acc += grow[j];
+    bias_.grad[oc] += static_cast<float>(acc);
+  }
+  // grad_W(OC x ckk) += g(OC x N*ohw) @ cols^T(N*ohw x ckk)
+  gemm_raw(g, false, cached_cols_.data(), true, weight_.grad.data(), out_c_,
+           batch_cols, ckk, 1.0f, 1.0f);
+  // grad_cols(ckk x N*ohw) = W^T(ckk x OC) @ g(OC x N*ohw)
   Tensor grad_cols(Shape::mat(ckk, batch_cols));
-  util::parallel_for(
-      0, geom_.n, 1,
-      [&](std::int64_t n0, std::int64_t n1) {
-        be.conv_backward_colgrad(grad_out.data(), weight_.value.data(),
-                                 grad_cols.data(), out_c_, ckk, ohw,
-                                 batch_cols, static_cast<int>(n0),
-                                 static_cast<int>(n1));
-      },
-      "conv-bwd");
+  gemm_raw(weight_.value.data(), true, g, false, grad_cols.data(), ckk,
+           out_c_, batch_cols);
 
   Tensor grad_input(Shape::nchw(geom_.n, in_c_, geom_.h, geom_.w));
   tensor::col2im(grad_cols, geom_, grad_input);

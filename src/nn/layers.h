@@ -13,7 +13,8 @@
 namespace a3cs::nn {
 
 // Standard 2D convolution over NCHW input; weight layout (OC, C*KH*KW),
-// lowered to per-sample im2col + GEMM.
+// lowered to a whole-batch im2col and one GEMM per pass (forward, weight
+// grad, column grad).
 class Conv2d : public Module {
  public:
   Conv2d(std::string name, int in_c, int out_c, int kernel, int stride,

@@ -7,8 +7,8 @@
 //   pool.tasks_executed     tasks run by parallel regions
 //   pool.regions_parallel   parallel_for calls that fanned out
 //   pool.regions_inline     parallel_for calls that ran serially inline
-//   pool.tasks.<label>      per-phase task counts (gemm, im2col, env-step,
-//                           nas-topk, serve-eval, conv-fwd, conv-bwd, ...)
+//   pool.tasks.<label>      per-phase task counts (gemm, im2col, col2im,
+//                           env-step, nas-topk, serve-eval, ...)
 //   pool.regions.<label>    per-phase region counts
 #pragma once
 

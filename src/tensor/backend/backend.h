@@ -2,24 +2,24 @@
 //
 // A Backend is a table of SHARD-LEVEL kernel functions: each entry computes
 // one contiguous shard of a parallel region (a GEMM row panel, a span of
-// im2col column-rows, a channel range of col2im, a task range of the conv
-// forward/backward fan-outs). The parallel orchestration — shard boundaries,
-// grains, work counters, profiling scopes — stays in tensor/ops.cc and
-// nn/layers.cc and is IDENTICAL for every backend, so the determinism
-// contract of docs/PERFORMANCE.md (fixed contiguous shards, disjoint writes,
-// fixed reduction order) holds per backend at every thread count.
+// im2col column-rows, a channel range of col2im). Conv2d and Linear both
+// run on the one GEMM entry, so these three kernels are all the table holds.
+// The parallel orchestration — shard boundaries, grains, work counters,
+// profiling scopes — stays in tensor/ops.cc and is IDENTICAL for every
+// backend, so the determinism contract of docs/PERFORMANCE.md (fixed
+// contiguous shards, disjoint writes, fixed reduction order) holds per
+// backend at every thread count.
 //
 // Two backends exist:
 //  - "scalar": the blocked 4x8 register-tile kernels, compiled with the
-//    portable baseline flags. This is the DEFAULT and is bit-exact with the
-//    pre-backend code: same instructions, same reduction order, same results.
+//    portable baseline flags. This is the DEFAULT and the reference the
+//    other backend is checked against.
 //  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
-//    vectorized im2col/col2im, fused conv inner loops), compiled per-TU with
-//    -mavx2 -mfma and registered only when the host CPU supports both.
-//    Deterministic across thread counts, but NOT bit-identical to scalar:
-//    FMA contracts the multiply-add rounding step and the vectorized
-//    reductions reorder float sums. Cross-backend agreement is enforced
-//    under a documented ULP tolerance by tests/backend_check_test.cc via
+//    vectorized im2col/col2im), compiled per-TU with -mavx2 -mfma and
+//    registered only when the host CPU supports both. Deterministic across
+//    thread counts, but NOT bit-identical to scalar: FMA contracts the
+//    multiply-add rounding step. Cross-backend agreement is enforced under a
+//    documented ULP tolerance by tests/backend_check_test.cc via
 //    tensor/backend/check.h.
 //
 // Selection: A3CS_BACKEND={scalar,avx2,auto} (default scalar). "auto" picks
@@ -47,14 +47,6 @@ namespace a3cs::tensor::backend {
 //    bit-exact across backends.
 //  col2im_channels: scatter-add column rows of channels [c0, c1) into the
 //    pre-zeroed NCHW gradient image, ascending column-row order per channel.
-//  conv_forward_tasks: compute conv output tasks [t0, t1) where task
-//    t = n * out_c + oc is one (sample, out-channel) output row:
-//    out_row = bias[oc] + W[oc, :] @ cols[:, n-slice].
-//  conv_backward_wgrad: accumulate (+=) weight rows and bias entries for
-//    out-channels [oc0, oc1) from grad_out and the cached columns, batch
-//    ascending innermost.
-//  conv_backward_colgrad: write grad_cols column slices for samples
-//    [n0, n1): gc_slice = W^T @ grad_out_slice (overwrites, no +=).
 struct Backend {
   const char* name;
 
@@ -67,20 +59,6 @@ struct Backend {
 
   void (*col2im_channels)(const float* cols, const ConvGeometry& g, float* out,
                           int c0, int c1);
-
-  void (*conv_forward_tasks)(const float* weight, const float* bias,
-                             const float* cols, float* out, int out_c, int ckk,
-                             int cols_per_sample, int batch_cols,
-                             std::int64_t t0, std::int64_t t1);
-
-  void (*conv_backward_wgrad)(const float* grad_out, const float* cols,
-                              float* weight_grad, float* bias_grad, int n,
-                              int out_c, int ckk, int ohw, int batch_cols,
-                              int oc0, int oc1);
-
-  void (*conv_backward_colgrad)(const float* grad_out, const float* weight,
-                                float* grad_cols, int out_c, int ckk, int ohw,
-                                int batch_cols, int n0, int n1);
 };
 
 // The portable blocked-scalar reference backend (always available).

@@ -7,10 +7,9 @@
 // (on the scalar backend) on older x86 hosts.
 //
 // Numerics: deterministic at every thread count — shard boundaries come from
-// the caller and every per-element reduction runs in a fixed order (kk
-// ascending in GEMM, lane-then-horizontal in fixed order for the conv
-// gradient dots) — but NOT bit-identical to the scalar backend: FMA fuses
-// the multiply-add rounding step and 8-lane sums reorder float addition.
+// the caller and every per-element GEMM reduction is one FMA chain over kk
+// ascending — but NOT bit-identical to the scalar backend: FMA fuses the
+// multiply-add rounding step.
 // im2col (pure data movement) and col2im (same per-element add order) ARE
 // bit-exact with scalar. Cross-backend agreement is enforced under the ULP
 // tolerance of tensor/backend/check.h by tests/backend_check_test.cc.
@@ -22,7 +21,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -316,119 +314,6 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
-// FMA saxpy: y[0:len] += a * x[0:len].
-inline void saxpy_fma(float a, const float* x, float* y, int len) {
-  const __m256 av = _mm256_set1_ps(a);
-  int j = 0;
-  for (; j + 8 <= len; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + j),
-                               _mm256_loadu_ps(y + j)));
-  }
-  for (; j < len; ++j) y[j] += a * x[j];
-}
-
-// sum_j x[j] in double precision: float values widened lane-wise into four
-// double accumulators, combined in a fixed order (so the result is
-// shard-independent), scalar tail last.
-inline double sum_pd(const float* x, int len) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m256 v = _mm256_loadu_ps(x + j);
-    acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-    acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_add_pd(acc0, acc1));
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; j < len; ++j) sum += static_cast<double>(x[j]);
-  return sum;
-}
-
-// sum_j x[j]*y[j] with float products widened into double accumulators,
-// matching the scalar backend's float-multiply-then-widen per element.
-inline double dot_pd(const float* x, const float* y, int len) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m256 p =
-        _mm256_mul_ps(_mm256_loadu_ps(x + j), _mm256_loadu_ps(y + j));
-    acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
-    acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_add_pd(acc0, acc1));
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; j < len; ++j) sum += static_cast<double>(x[j] * y[j]);
-  return sum;
-}
-
-// Conv forward: bias broadcast then one fused saxpy per nonzero weight.
-void conv_forward_tasks(const float* weight, const float* bias,
-                        const float* cols, float* out, int out_c, int ckk,
-                        int cols_per_sample, int batch_cols, std::int64_t t0,
-                        std::int64_t t1) {
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const int n = static_cast<int>(t / out_c);
-    const int oc = static_cast<int>(t % out_c);
-    float* orow =
-        out + (static_cast<std::size_t>(n) * out_c + oc) * cols_per_sample;
-    std::fill(orow, orow + cols_per_sample, bias[oc]);
-    const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
-    for (int kk = 0; kk < ckk; ++kk) {
-      const float wv = wrow[kk];
-      if (wv == 0.0f) continue;
-      const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                          static_cast<std::size_t>(n) * cols_per_sample;
-      saxpy_fma(wv, crow, orow, cols_per_sample);
-    }
-  }
-}
-
-// Conv weight/bias gradients: vectorized double-accumulator dots, batch
-// ascending innermost like the scalar backend.
-void conv_backward_wgrad(const float* grad_out, const float* cols,
-                         float* weight_grad, float* bias_grad, int n,
-                         int out_c, int ckk, int ohw, int batch_cols, int oc0,
-                         int oc1) {
-  for (int oc = oc0; oc < oc1; ++oc) {
-    float* wrow = weight_grad + static_cast<std::size_t>(oc) * ckk;
-    for (int s = 0; s < n; ++s) {
-      const float* grow =
-          grad_out + (static_cast<std::size_t>(s) * out_c + oc) * ohw;
-      bias_grad[oc] += static_cast<float>(sum_pd(grow, ohw));
-      for (int kk = 0; kk < ckk; ++kk) {
-        const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                            static_cast<std::size_t>(s) * ohw;
-        wrow[kk] += static_cast<float>(dot_pd(grow, crow, ohw));
-      }
-    }
-  }
-}
-
-// Conv column gradient: zero-fill then one fused saxpy per nonzero weight.
-void conv_backward_colgrad(const float* grad_out, const float* weight,
-                           float* grad_cols, int out_c, int ckk, int ohw,
-                           int batch_cols, int n0, int n1) {
-  for (int n = n0; n < n1; ++n) {
-    const float* g_slice =
-        grad_out + static_cast<std::size_t>(n) * out_c * ohw;
-    for (int kk = 0; kk < ckk; ++kk) {
-      float* gc = grad_cols + static_cast<std::size_t>(kk) * batch_cols +
-                  static_cast<std::size_t>(n) * ohw;
-      std::fill(gc, gc + ohw, 0.0f);
-      for (int oc = 0; oc < out_c; ++oc) {
-        const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
-        if (wv == 0.0f) continue;
-        saxpy_fma(wv, g_slice + static_cast<std::size_t>(oc) * ohw, gc, ohw);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const Backend* avx2_backend() {
@@ -439,11 +324,8 @@ const Backend* avx2_backend() {
   static const bool supported = false;
 #endif
   if (!supported) return nullptr;
-  static const Backend kAvx2{
-      "avx2",            gemm_rows,           im2col_rows,
-      col2im_channels,   conv_forward_tasks,  conv_backward_wgrad,
-      conv_backward_colgrad,
-  };
+  static const Backend kAvx2{"avx2", gemm_rows, im2col_rows,
+                             col2im_channels};
   return &kAvx2;
 }
 

@@ -1,11 +1,8 @@
-// The blocked-scalar reference backend: the portable kernels moved verbatim
-// from tensor/ops.cc and nn/layers.cc. Compiled with the baseline flags only
-// (no -mavx2/-mfma), so on every host this backend executes the exact
-// instruction sequences of the pre-backend tree — A3CS_BACKEND=scalar is
-// bit-identical to the historical results at every thread count.
+// The blocked-scalar reference backend: the portable GEMM, im2col and col2im
+// kernels. Compiled with the baseline flags only (no -mavx2/-mfma), so it
+// runs on every host; it is the reference the avx2 backend is checked against.
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 
 #include "tensor/backend/backend.h"
 
@@ -184,87 +181,11 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
-// One (sample, out-channel) output row per task: bias broadcast, then a
-// saxpy per nonzero weight. The zero-weight skip only changes measured
-// time, never results.
-void conv_forward_tasks(const float* weight, const float* bias,
-                        const float* cols, float* out, int out_c, int ckk,
-                        int cols_per_sample, int batch_cols, std::int64_t t0,
-                        std::int64_t t1) {
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const int n = static_cast<int>(t / out_c);
-    const int oc = static_cast<int>(t % out_c);
-    float* orow =
-        out + (static_cast<std::size_t>(n) * out_c + oc) * cols_per_sample;
-    std::fill(orow, orow + cols_per_sample, bias[oc]);
-    const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
-    for (int kk = 0; kk < ckk; ++kk) {
-      const float wv = wrow[kk];
-      if (wv == 0.0f) continue;
-      const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                          static_cast<std::size_t>(n) * cols_per_sample;
-      for (int j = 0; j < cols_per_sample; ++j) orow[j] += wv * crow[j];
-    }
-  }
-}
-
-// Weight/bias gradient accumulation for out-channels [oc0, oc1): the batch
-// loop stays innermost and ascending with double accumulators, matching the
-// serial accumulation order bit for bit.
-void conv_backward_wgrad(const float* grad_out, const float* cols,
-                         float* weight_grad, float* bias_grad, int n,
-                         int out_c, int ckk, int ohw, int batch_cols, int oc0,
-                         int oc1) {
-  for (int oc = oc0; oc < oc1; ++oc) {
-    float* wrow = weight_grad + static_cast<std::size_t>(oc) * ckk;
-    for (int s = 0; s < n; ++s) {
-      const float* grow =
-          grad_out + (static_cast<std::size_t>(s) * out_c + oc) * ohw;
-      double acc = 0.0;
-      for (int j = 0; j < ohw; ++j) acc += grow[j];
-      bias_grad[oc] += static_cast<float>(acc);
-      // grad_W(OC x ckk) += g(OC x ohw) @ cols_slice^T(ohw x ckk)
-      for (int kk = 0; kk < ckk; ++kk) {
-        const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                            static_cast<std::size_t>(s) * ohw;
-        double wacc = 0.0;
-        for (int j = 0; j < ohw; ++j) wacc += grow[j] * crow[j];
-        wrow[kk] += static_cast<float>(wacc);
-      }
-    }
-  }
-}
-
-// Column-gradient slices for samples [n0, n1):
-// grad_cols_slice(ckk x ohw) = W^T(ckk x OC) @ g(OC x ohw).
-void conv_backward_colgrad(const float* grad_out, const float* weight,
-                           float* grad_cols, int out_c, int ckk, int ohw,
-                           int batch_cols, int n0, int n1) {
-  for (int n = n0; n < n1; ++n) {
-    const float* g_slice =
-        grad_out + static_cast<std::size_t>(n) * out_c * ohw;
-    for (int kk = 0; kk < ckk; ++kk) {
-      float* gc = grad_cols + static_cast<std::size_t>(kk) * batch_cols +
-                  static_cast<std::size_t>(n) * ohw;
-      std::fill(gc, gc + ohw, 0.0f);
-      for (int oc = 0; oc < out_c; ++oc) {
-        const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
-        if (wv == 0.0f) continue;
-        const float* grow = g_slice + static_cast<std::size_t>(oc) * ohw;
-        for (int j = 0; j < ohw; ++j) gc[j] += wv * grow[j];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const Backend& scalar_backend() {
-  static const Backend kScalar{
-      "scalar",          gemm_rows,           im2col_rows,
-      col2im_channels,   conv_forward_tasks,  conv_backward_wgrad,
-      conv_backward_colgrad,
-  };
+  static const Backend kScalar{"scalar", gemm_rows, im2col_rows,
+                               col2im_channels};
   return kScalar;
 }
 

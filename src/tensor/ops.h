@@ -26,7 +26,8 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 
 // Raw-pointer GEMM over row-major buffers: C(m x n) = alpha*op(A)@op(B) +
 // beta*C where op(A) is (m x k) and stored (m x k), or (k x m) when trans_a.
-// Used by conv layers to operate on per-sample slices without copies.
+// Linear and Conv2d call it on their parameter and activation buffers
+// directly; Conv2d runs one whole-batch GEMM per pass over its im2col matrix.
 void gemm_raw(const float* a, bool trans_a, const float* b, bool trans_b,
               float* c, int m, int k, int n, float alpha = 1.0f,
               float beta = 0.0f);

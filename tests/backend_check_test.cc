@@ -2,10 +2,12 @@
 // with the scalar reference across a shape/stride/trans-flag/thread-count
 // grid under the ULP tolerance policy of tensor/backend/check.h — plus unit
 // coverage for the checker utility itself (tolerance violations, NaN/Inf
-// reporting, deterministic failure messages).
+// reporting, deterministic failure messages), and a layer checker that
+// compares nn::Conv2d on every available backend against a naive float64
+// reference.
 //
 // On hosts without AVX2+FMA the grid cases GTEST_SKIP; the checker-utility
-// cases always run.
+// and layer-checker cases always run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/layers.h"
 #include "tensor/backend/backend.h"
 #include "tensor/backend/check.h"
 #include "tensor/ops.h"
@@ -316,74 +319,6 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
   }
 }
 
-TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
-  // Drives the three conv shard kernels directly over the full task ranges,
-  // with a few zero weights to exercise the zero-skip paths.
-  const int n = 2, out_c = 5, in_c = 3, kh = 3, oh = 6, ow = 7;
-  const int ckk = in_c * kh * kh;
-  const int ohw = oh * ow;
-  const int batch_cols = n * ohw;
-  util::Rng rng(31);
-  auto weight = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
-  weight[3] = 0.0f;
-  weight[ckk + 11] = 0.0f;
-  const auto bias = random_vec(out_c, rng);
-  const auto cols = random_vec(static_cast<std::int64_t>(ckk) * batch_cols,
-                               rng);
-  const auto grad_out = random_vec(static_cast<std::int64_t>(n) * out_c * ohw,
-                                   rng);
-  const backend::Backend& sc = backend::scalar_backend();
-  const backend::Backend& av = *backend::avx2_backend();
-
-  // Forward.
-  std::vector<float> out_ref(static_cast<std::size_t>(n) * out_c * ohw);
-  std::vector<float> out_avx(out_ref.size());
-  sc.conv_forward_tasks(weight.data(), bias.data(), cols.data(),
-                        out_ref.data(), out_c, ckk, ohw, batch_cols, 0,
-                        static_cast<std::int64_t>(n) * out_c);
-  av.conv_forward_tasks(weight.data(), bias.data(), cols.data(),
-                        out_avx.data(), out_c, ckk, ohw, batch_cols, 0,
-                        static_cast<std::int64_t>(n) * out_c);
-  auto res = backend::compare_elementwise(
-      out_ref.data(), out_avx.data(),
-      static_cast<std::int64_t>(out_ref.size()),
-      backend::tolerance_for_reduction(ckk), "conv-fwd");
-  EXPECT_TRUE(res.ok) << res.message;
-
-  // Weight/bias gradient (+= semantics: start from identical nonzero state).
-  const auto wg0 = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
-  const auto bg0 = random_vec(out_c, rng);
-  std::vector<float> wg_ref = wg0, wg_avx = wg0;
-  std::vector<float> bg_ref = bg0, bg_avx = bg0;
-  sc.conv_backward_wgrad(grad_out.data(), cols.data(), wg_ref.data(),
-                         bg_ref.data(), n, out_c, ckk, ohw, batch_cols, 0,
-                         out_c);
-  av.conv_backward_wgrad(grad_out.data(), cols.data(), wg_avx.data(),
-                         bg_avx.data(), n, out_c, ckk, ohw, batch_cols, 0,
-                         out_c);
-  const auto wopt = backend::tolerance_for_reduction(n * ohw);
-  res = backend::compare_elementwise(wg_ref.data(), wg_avx.data(),
-                                     static_cast<std::int64_t>(wg_ref.size()),
-                                     wopt, "conv-wgrad");
-  EXPECT_TRUE(res.ok) << res.message;
-  res = backend::compare_elementwise(bg_ref.data(), bg_avx.data(), out_c,
-                                     wopt, "conv-bgrad");
-  EXPECT_TRUE(res.ok) << res.message;
-
-  // Column gradient (overwrite semantics).
-  std::vector<float> gc_ref(static_cast<std::size_t>(ckk) * batch_cols);
-  std::vector<float> gc_avx(gc_ref.size());
-  sc.conv_backward_colgrad(grad_out.data(), weight.data(), gc_ref.data(),
-                           out_c, ckk, ohw, batch_cols, 0, n);
-  av.conv_backward_colgrad(grad_out.data(), weight.data(), gc_avx.data(),
-                           out_c, ckk, ohw, batch_cols, 0, n);
-  res = backend::compare_elementwise(gc_ref.data(), gc_avx.data(),
-                                     static_cast<std::int64_t>(gc_ref.size()),
-                                     backend::tolerance_for_reduction(out_c),
-                                     "conv-colgrad");
-  EXPECT_TRUE(res.ok) << res.message;
-}
-
 TEST_F(BackendGrid, GemmBetaZeroNeverReadsC) {
   // C initialized with NaN must come out finite when beta == 0 on both
   // backends — a kernel that reads C before scaling would propagate NaN.
@@ -401,6 +336,154 @@ TEST_F(BackendGrid, GemmBetaZeroNeverReadsC) {
       ASSERT_TRUE(std::isfinite(v)) << name << " read uninitialized C";
     }
   }
+  backend::select("scalar");
+}
+
+// ------------------------------------------- Conv2d vs float64 reference --
+
+// Naive direct convolution in float64 over the layer's own float inputs:
+// forward output, input gradient, weight gradient and bias gradient for a
+// fixed upstream gradient. The loops follow the definition, with no
+// lowering, so they share no code or summation order with nn::Conv2d.
+struct ConvReference {
+  Tensor out, grad_in, grad_w, grad_b;
+};
+
+ConvReference conv_reference(const Tensor& x, const Tensor& w,
+                             const Tensor& b, const Tensor& grad_out, int k,
+                             int stride, int pad) {
+  const int n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
+            wd = x.shape()[3];
+  const int oc = grad_out.shape()[1], oh = grad_out.shape()[2],
+            ow = grad_out.shape()[3];
+  const int ckk = c * k * k;
+  std::vector<double> out(static_cast<std::size_t>(grad_out.numel()));
+  std::vector<double> gin(static_cast<std::size_t>(x.numel()), 0.0);
+  std::vector<double> gw(static_cast<std::size_t>(oc) * ckk, 0.0);
+  std::vector<double> gb(static_cast<std::size_t>(oc), 0.0);
+  for (int s = 0; s < n; ++s) {
+    for (int o = 0; o < oc; ++o) {
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          const std::size_t oi =
+              ((static_cast<std::size_t>(s) * oc + o) * oh + oy) * ow + ox;
+          const double go = grad_out[static_cast<std::int64_t>(oi)];
+          double acc = b[o];
+          gb[o] += go;
+          for (int ch = 0; ch < c; ++ch) {
+            for (int ky = 0; ky < k; ++ky) {
+              const int iy = oy * stride - pad + ky;
+              if (iy < 0 || iy >= h) continue;
+              for (int kx = 0; kx < k; ++kx) {
+                const int ix = ox * stride - pad + kx;
+                if (ix < 0 || ix >= wd) continue;
+                const std::size_t xi =
+                    ((static_cast<std::size_t>(s) * c + ch) * h + iy) * wd +
+                    ix;
+                const std::size_t wi =
+                    static_cast<std::size_t>(o) * ckk + (ch * k + ky) * k + kx;
+                const double xv = x[static_cast<std::int64_t>(xi)];
+                const double wv = w[static_cast<std::int64_t>(wi)];
+                acc += wv * xv;
+                gin[xi] += go * wv;
+                gw[wi] += go * xv;
+              }
+            }
+          }
+          out[oi] = acc;
+        }
+      }
+    }
+  }
+  const auto to_tensor = [](const Shape& shape, const std::vector<double>& v) {
+    Tensor t(shape);
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      t[i] = static_cast<float>(v[static_cast<std::size_t>(i)]);
+    }
+    return t;
+  };
+  return {to_tensor(grad_out.shape(), out), to_tensor(x.shape(), gin),
+          to_tensor(w.shape(), gw), to_tensor(b.shape(), gb)};
+}
+
+TEST(LayerChecker, Conv2dMatchesFloat64ReferenceOnEveryBackend) {
+  // The conv shapes the 6-cell supernet and its teacher create: batch 1
+  // (acting), 16 (rollout envs) and 80 (16 envs x rollout 5); 12x12 and
+  // 6x6 inputs; the stem, conv k3/k5 candidates, 1x1 expand/project and
+  // strided projections; 8-32 channels.
+  struct Case {
+    int n, c, oc, hw, k, stride;
+  };
+  const Case cases[] = {{80, 3, 8, 12, 3, 2},  {80, 8, 8, 6, 5, 1},
+                        {80, 8, 24, 6, 1, 1},  {80, 24, 8, 6, 1, 1},
+                        {16, 16, 32, 12, 3, 1}, {16, 8, 16, 6, 3, 2},
+                        {16, 16, 32, 6, 5, 2},  {16, 16, 32, 6, 1, 2},
+                        {1, 3, 8, 12, 3, 2},   {1, 32, 32, 12, 5, 1},
+                        {1, 8, 16, 6, 3, 2}};
+  util::Rng rng(424242);
+  for (const auto& cs : cases) {
+    const int pad = cs.k / 2;
+    nn::Conv2d conv("conv", cs.c, cs.oc, cs.k, cs.stride, pad, rng);
+    // Nonzero biases, and every 7th weight exactly zero.
+    for (std::int64_t i = 0; i < conv.bias().value.numel(); ++i) {
+      conv.bias().value[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+    for (std::int64_t i = 0; i < conv.weight().value.numel(); i += 7) {
+      conv.weight().value[i] = 0.0f;
+    }
+    Tensor x(Shape::nchw(cs.n, cs.c, cs.hw, cs.hw));
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    const auto g = ConvGeometry::make(x.shape(), cs.k, cs.k, cs.stride, pad);
+    Tensor grad_out(Shape::nchw(cs.n, cs.oc, g.oh, g.ow));
+    for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
+      grad_out[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    const ConvReference ref =
+        conv_reference(x, conv.weight().value, conv.bias().value, grad_out,
+                       cs.k, cs.stride, pad);
+    const int ohw = g.oh * g.ow;
+    // Backward accumulates into the parameter gradients: each run starts
+    // them at the reference values, so they must end at exactly twice that.
+    const Tensor twice_grad_w = ref.grad_w * 2.0f;
+    const Tensor twice_grad_b = ref.grad_b * 2.0f;
+    for (const std::string& name : backend::available_names()) {
+      ASSERT_TRUE(backend::select(name));
+      for (const int threads : {1, 4}) {
+        util::ThreadPool::set_global_threads(threads);
+        conv.weight().grad = ref.grad_w;
+        conv.bias().grad = ref.grad_b;
+        const Tensor y = conv.forward(x);
+        const Tensor grad_in = conv.backward(grad_out);
+        const std::string label =
+            "n" + std::to_string(cs.n) + " c" + std::to_string(cs.c) + " oc" +
+            std::to_string(cs.oc) + " " + std::to_string(cs.hw) + "x" +
+            std::to_string(cs.hw) + " k" + std::to_string(cs.k) + " s" +
+            std::to_string(cs.stride) + " " + name + " t" +
+            std::to_string(threads);
+        const struct {
+          const char* what;
+          const Tensor& expected;
+          const Tensor& actual;
+          int reduction;
+        } checks[] = {
+            {"conv2d fwd", ref.out, y, cs.c * cs.k * cs.k},
+            {"conv2d dx", ref.grad_in, grad_in, cs.oc * cs.k * cs.k},
+            {"conv2d dw", twice_grad_w, conv.weight().grad, cs.n * ohw},
+            {"conv2d db", twice_grad_b, conv.bias().grad, cs.n * ohw},
+        };
+        for (const auto& ck : checks) {
+          const auto res = backend::compare_tensors(
+              ck.expected, ck.actual,
+              backend::tolerance_for_reduction(ck.reduction),
+              std::string(ck.what) + " " + label);
+          EXPECT_TRUE(res.ok) << res.message;
+        }
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
   backend::select("scalar");
 }
 

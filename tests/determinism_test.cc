@@ -104,24 +104,33 @@ TEST(Determinism, Im2ColAndCol2ImBitExact) {
 }
 
 TEST(Determinism, Conv2dForwardBackwardBitExact) {
-  const Tensor x = random_tensor(Shape::nchw(4, 3, 12, 12), 5);
-  auto run = [&]() {
-    util::Rng rng(21);
-    nn::Conv2d conv("conv", 3, 8, 3, 1, 1, rng);
-    Tensor y = conv.forward(x);
-    const Tensor grad_out = random_tensor(y.shape(), 6);
-    Tensor grad_in = conv.backward(grad_out);
-    auto out = y.vec();
-    out.insert(out.end(), grad_in.vec().begin(), grad_in.vec().end());
-    out.insert(out.end(), conv.weight().grad.vec().begin(),
-               conv.weight().grad.vec().end());
-    out.insert(out.end(), conv.bias().grad.vec().begin(),
-               conv.bias().grad.vec().end());
-    return out;
+  struct Case {
+    int n, c, oc;
   };
-  const auto ref = at_threads(1, run);
-  for (int threads : kThreadCounts) {
-    expect_bits_equal(ref, at_threads(threads, run), threads, "conv2d");
+  // The first case runs every conv GEMM as a single row shard; the second
+  // (OC = 32, N = 16) splits the forward and weight-grad GEMMs over two
+  // out-channel panels and the column-grad GEMM over nine ckk panels.
+  const Case cases[] = {{4, 3, 8}, {16, 16, 32}};
+  for (const auto& cs : cases) {
+    const Tensor x = random_tensor(Shape::nchw(cs.n, cs.c, 12, 12), 5);
+    auto run = [&]() {
+      util::Rng rng(21);
+      nn::Conv2d conv("conv", cs.c, cs.oc, 3, 1, 1, rng);
+      Tensor y = conv.forward(x);
+      const Tensor grad_out = random_tensor(y.shape(), 6);
+      Tensor grad_in = conv.backward(grad_out);
+      auto out = y.vec();
+      out.insert(out.end(), grad_in.vec().begin(), grad_in.vec().end());
+      out.insert(out.end(), conv.weight().grad.vec().begin(),
+                 conv.weight().grad.vec().end());
+      out.insert(out.end(), conv.bias().grad.vec().begin(),
+                 conv.bias().grad.vec().end());
+      return out;
+    };
+    const auto ref = at_threads(1, run);
+    for (int threads : kThreadCounts) {
+      expect_bits_equal(ref, at_threads(threads, run), threads, "conv2d");
+    }
   }
 }
 
