@@ -114,6 +114,20 @@ void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
 
 // ------------------------------------------------------- DepthwiseConv2d --
 
+namespace {
+
+// The kernel taps [lo, hi) of a window that starts at input index i0 and
+// land inside [0, size): the padding clamp, taken once per window.
+struct TapRange {
+  int lo, hi;
+};
+
+TapRange taps_inside(int i0, int kernel, int size) {
+  return {std::max(0, -i0), std::min(kernel, size - i0)};
+}
+
+}  // namespace
+
 DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
                                  int stride, int pad, util::Rng& rng)
     : name_(std::move(name)),
@@ -126,6 +140,10 @@ DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
   he_normal(weight_.value, kernel * kernel, rng);
 }
 
+// Both passes walk one (sample, channel) plane at a time through raw plane
+// pointers and clamp each window to its in-bounds taps once. Input row
+// pointers start at the first in-bounds tap, so none points before its
+// buffer. Taps run ky, then kx, ascending.
 Tensor DepthwiseConv2d::forward(const Tensor& x) {
   A3CS_CHECK(x.shape().rank() == 4 && x.shape()[1] == channels_,
              name_ + ": input shape mismatch");
@@ -134,24 +152,32 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
   cached_input_ = x;
   has_cache_ = true;
   Tensor out(Shape::nchw(g.n, channels_, g.oh, g.ow));
+  const int k = kernel_;
+  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
+  const std::size_t out_plane = static_cast<std::size_t>(g.oh) * g.ow;
   for (int n = 0; n < g.n; ++n) {
     for (int c = 0; c < channels_; ++c) {
+      const std::size_t plane = static_cast<std::size_t>(n) * channels_ + c;
+      const float* xp = x.data() + plane * in_plane;
+      float* op = out.data() + plane * out_plane;
       const float* w =
-          weight_.value.data() + static_cast<std::size_t>(c) * kernel_ * kernel_;
+          weight_.value.data() + static_cast<std::size_t>(c) * k * k;
       const float b = bias_.value[c];
       for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy0 = oy * stride_ - pad_;
+        const TapRange ty = taps_inside(iy0, k, g.h);
+        float* orow = op + static_cast<std::size_t>(oy) * g.ow;
         for (int ox = 0; ox < g.ow; ++ox) {
+          const int ix0 = ox * stride_ - pad_;
+          const TapRange tx = taps_inside(ix0, k, g.w);
           float acc = b;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ - pad_ + ky;
-            if (iy < 0 || iy >= g.h) continue;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ - pad_ + kx;
-              if (ix < 0 || ix >= g.w) continue;
-              acc += w[ky * kernel_ + kx] * x.at4(n, c, iy, ix);
-            }
+          for (int ky = ty.lo; ky < ty.hi; ++ky) {
+            const float* wrow = w + ky * k + tx.lo;
+            const float* xrow =
+                xp + static_cast<std::size_t>(iy0 + ky) * g.w + (ix0 + tx.lo);
+            for (int i = 0; i < tx.hi - tx.lo; ++i) acc += wrow[i] * xrow[i];
           }
-          out.at4(n, c, oy, ox) = acc;
+          orow[ox] = acc;
         }
       }
     }
@@ -167,26 +193,39 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   A3CS_CHECK(grad_out.shape() == Shape::nchw(g.n, channels_, g.oh, g.ow),
              name_ + ": grad_out shape mismatch");
   Tensor grad_input(x.shape());
+  const int k = kernel_;
+  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
+  const std::size_t out_plane = static_cast<std::size_t>(g.oh) * g.ow;
   for (int n = 0; n < g.n; ++n) {
     for (int c = 0; c < channels_; ++c) {
+      const std::size_t plane = static_cast<std::size_t>(n) * channels_ + c;
+      const float* xp = x.data() + plane * in_plane;
+      float* gip = grad_input.data() + plane * in_plane;
+      const float* gop = grad_out.data() + plane * out_plane;
       const float* w =
-          weight_.value.data() + static_cast<std::size_t>(c) * kernel_ * kernel_;
-      float* wg =
-          weight_.grad.data() + static_cast<std::size_t>(c) * kernel_ * kernel_;
+          weight_.value.data() + static_cast<std::size_t>(c) * k * k;
+      float* wg = weight_.grad.data() + static_cast<std::size_t>(c) * k * k;
       double bias_acc = 0.0;
       for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy0 = oy * stride_ - pad_;
+        const TapRange ty = taps_inside(iy0, k, g.h);
+        const float* gorow = gop + static_cast<std::size_t>(oy) * g.ow;
         for (int ox = 0; ox < g.ow; ++ox) {
-          const float go = grad_out.at4(n, c, oy, ox);
+          const float go = gorow[ox];
           bias_acc += go;
           if (go == 0.0f) continue;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ - pad_ + ky;
-            if (iy < 0 || iy >= g.h) continue;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ - pad_ + kx;
-              if (ix < 0 || ix >= g.w) continue;
-              wg[ky * kernel_ + kx] += go * x.at4(n, c, iy, ix);
-              grad_input.at4(n, c, iy, ix) += go * w[ky * kernel_ + kx];
+          const int ix0 = ox * stride_ - pad_;
+          const TapRange tx = taps_inside(ix0, k, g.w);
+          for (int ky = ty.lo; ky < ty.hi; ++ky) {
+            const std::size_t row =
+                static_cast<std::size_t>(iy0 + ky) * g.w + (ix0 + tx.lo);
+            const float* xrow = xp + row;
+            float* girow = gip + row;
+            const float* wrow = w + ky * k + tx.lo;
+            float* wgrow = wg + ky * k + tx.lo;
+            for (int i = 0; i < tx.hi - tx.lo; ++i) {
+              wgrow[i] += go * xrow[i];
+              girow[i] += go * wrow[i];
             }
           }
         }

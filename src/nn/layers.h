@@ -58,6 +58,8 @@ class DepthwiseConv2d : public Module {
   int channels() const { return channels_; }
   int kernel() const { return kernel_; }
   int stride() const { return stride_; }
+  Parameter& weight() { return weight_; }
+  Parameter& bias() { return bias_; }
 
  private:
   std::string name_;

@@ -2,9 +2,10 @@
 // with the scalar reference across a shape/stride/trans-flag/thread-count
 // grid under the ULP tolerance policy of tensor/backend/check.h — plus unit
 // coverage for the checker utility itself (tolerance violations, NaN/Inf
-// reporting, deterministic failure messages), and a layer checker that
-// compares nn::Conv2d on every available backend against a naive float64
-// reference.
+// reporting, deterministic failure messages), and layer checkers that
+// compare nn::Conv2d and nn::DepthwiseConv2d on every available backend
+// against naive float64 references (and Depthwise, which does not dispatch
+// through the backend table, bit for bit against its naive float loop).
 //
 // On hosts without AVX2+FMA the grid cases GTEST_SKIP; the checker-utility
 // and layer-checker cases always run.
@@ -12,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -476,6 +478,171 @@ TEST(LayerChecker, Conv2dMatchesFloat64ReferenceOnEveryBackend) {
         for (const auto& ck : checks) {
           const auto res = backend::compare_tensors(
               ck.expected, ck.actual,
+              backend::tolerance_for_reduction(ck.reduction),
+              std::string(ck.what) + " " + label);
+          EXPECT_TRUE(res.ok) << res.message;
+        }
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+  backend::select("scalar");
+}
+
+// --------------------------------- DepthwiseConv2d vs naive loops --
+
+// The per-element depthwise loop nn::DepthwiseConv2d ran before it moved to
+// plane pointers, with plain index arithmetic in place of Tensor::at4. It
+// is templated on the accumulator: in float it fixes the exact summation
+// order the layer must reproduce bit for bit, and in double it is the
+// float64 reference. grad_w and grad_b accumulate into their start values.
+struct DwResult {
+  Tensor out, grad_in, grad_w, grad_b;
+};
+
+template <typename Acc>
+DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
+                        const Tensor& grad_out, const Tensor& grad_w0,
+                        const Tensor& grad_b0, int k, int stride, int pad) {
+  const int n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
+            wd = x.shape()[3];
+  const int oh = grad_out.shape()[2], ow = grad_out.shape()[3];
+  std::vector<Acc> out(static_cast<std::size_t>(grad_out.numel()));
+  std::vector<Acc> gin(static_cast<std::size_t>(x.numel()), Acc(0));
+  std::vector<Acc> gw(grad_w0.vec().begin(), grad_w0.vec().end());
+  std::vector<Acc> gb(grad_b0.vec().begin(), grad_b0.vec().end());
+  const auto xi = [&](int s, int ch, int iy, int ix) {
+    return ((static_cast<std::size_t>(s) * c + ch) * h + iy) * wd + ix;
+  };
+  const auto oi = [&](int s, int ch, int oy, int ox) {
+    return ((static_cast<std::size_t>(s) * c + ch) * oh + oy) * ow + ox;
+  };
+  for (int s = 0; s < n; ++s) {
+    for (int ch = 0; ch < c; ++ch) {
+      const std::size_t w0 = static_cast<std::size_t>(ch) * k * k;
+      double bias_acc = 0.0;
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          Acc acc = b[ch];
+          const Acc go = grad_out.vec()[oi(s, ch, oy, ox)];
+          bias_acc += go;
+          for (int ky = 0; ky < k; ++ky) {
+            const int iy = oy * stride - pad + ky;
+            if (iy < 0 || iy >= h) continue;
+            for (int kx = 0; kx < k; ++kx) {
+              const int ix = ox * stride - pad + kx;
+              if (ix < 0 || ix >= wd) continue;
+              acc += Acc(w[w0 + ky * k + kx]) * Acc(x.vec()[xi(s, ch, iy, ix)]);
+            }
+          }
+          out[oi(s, ch, oy, ox)] = acc;
+          if (go == Acc(0)) continue;
+          for (int ky = 0; ky < k; ++ky) {
+            const int iy = oy * stride - pad + ky;
+            if (iy < 0 || iy >= h) continue;
+            for (int kx = 0; kx < k; ++kx) {
+              const int ix = ox * stride - pad + kx;
+              if (ix < 0 || ix >= wd) continue;
+              gw[w0 + ky * k + kx] += go * Acc(x.vec()[xi(s, ch, iy, ix)]);
+              gin[xi(s, ch, iy, ix)] += go * Acc(w[w0 + ky * k + kx]);
+            }
+          }
+        }
+      }
+      gb[ch] += static_cast<Acc>(bias_acc);
+    }
+  }
+  const auto to_tensor = [](const Shape& shape, const std::vector<Acc>& v) {
+    Tensor t(shape);
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      t[i] = static_cast<float>(v[static_cast<std::size_t>(i)]);
+    }
+    return t;
+  };
+  return {to_tensor(grad_out.shape(), out), to_tensor(x.shape(), gin),
+          to_tensor(w.shape(), gw), to_tensor(b.shape(), gb)};
+}
+
+bool bytes_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
+  // The depthwise shapes of the supernet's inverted-residual candidates:
+  // mid = in_c x {1, 3, 5} for in_c 8/16/32, k3/k5, stride 1 and 2, on
+  // 12x12, 6x6 and 3x3 planes plus odd 7x7 and 5x5 ones, at batch 1
+  // (acting), 16 (rollout envs) and 80 (16 envs x rollout 5).
+  struct Case {
+    int n, c, hw, k, stride;
+  };
+  const Case cases[] = {{80, 8, 12, 3, 1},   {80, 24, 6, 5, 1},
+                        {80, 40, 6, 3, 2},   {80, 48, 3, 5, 1},
+                        {80, 160, 3, 3, 1},  {16, 40, 12, 5, 2},
+                        {16, 16, 6, 3, 2},   {16, 80, 6, 5, 1},
+                        {16, 96, 3, 3, 1},   {16, 24, 7, 5, 2},
+                        {1, 24, 12, 3, 1},   {1, 48, 6, 5, 2},
+                        {1, 160, 3, 5, 1},   {1, 8, 5, 3, 2}};
+  util::Rng rng(515151);
+  for (const auto& cs : cases) {
+    const int pad = cs.k / 2;
+    nn::DepthwiseConv2d dw("dw", cs.c, cs.k, cs.stride, pad, rng);
+    for (std::int64_t i = 0; i < dw.bias().value.numel(); ++i) {
+      dw.bias().value[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+    const Tensor x(Shape::nchw(cs.n, cs.c, cs.hw, cs.hw),
+                   random_vec(std::int64_t{cs.n} * cs.c * cs.hw * cs.hw, rng));
+    const auto g = ConvGeometry::make(x.shape(), cs.k, cs.k, cs.stride, pad);
+    Tensor grad_out(Shape::nchw(cs.n, cs.c, g.oh, g.ow),
+                    random_vec(std::int64_t{cs.n} * cs.c * g.oh * g.ow, rng));
+    // Every 5th upstream gradient is exactly zero: the skip path runs.
+    for (std::int64_t i = 0; i < grad_out.numel(); i += 5) grad_out[i] = 0.0f;
+    // Nonzero start values, so the accumulation into them is covered too.
+    const Tensor grad_w0(dw.weight().value.shape(),
+                         random_vec(dw.weight().value.numel(), rng));
+    const Tensor grad_b0(dw.bias().value.shape(),
+                         random_vec(dw.bias().value.numel(), rng));
+    const DwResult exact =
+        depthwise_loop<float>(x, dw.weight().value, dw.bias().value, grad_out,
+                              grad_w0, grad_b0, cs.k, cs.stride, pad);
+    const DwResult ref64 =
+        depthwise_loop<double>(x, dw.weight().value, dw.bias().value,
+                               grad_out, grad_w0, grad_b0, cs.k, cs.stride, pad);
+    const int ohw = g.oh * g.ow;
+    for (const std::string& name : backend::available_names()) {
+      ASSERT_TRUE(backend::select(name));
+      for (const int threads : {1, 4}) {
+        util::ThreadPool::set_global_threads(threads);
+        dw.weight().grad = grad_w0;
+        dw.bias().grad = grad_b0;
+        const Tensor y = dw.forward(x);
+        const Tensor grad_in = dw.backward(grad_out);
+        const std::string label =
+            "n" + std::to_string(cs.n) + " c" + std::to_string(cs.c) + " " +
+            std::to_string(cs.hw) + "x" + std::to_string(cs.hw) + " k" +
+            std::to_string(cs.k) + " s" + std::to_string(cs.stride) + " " +
+            name + " t" + std::to_string(threads);
+        const struct {
+          const char* what;
+          const Tensor& exact;
+          const Tensor& ref64;
+          const Tensor& actual;
+          int reduction;
+        } checks[] = {
+            {"depthwise fwd", exact.out, ref64.out, y, cs.k * cs.k},
+            {"depthwise dx", exact.grad_in, ref64.grad_in, grad_in,
+             cs.k * cs.k},
+            {"depthwise dw", exact.grad_w, ref64.grad_w, dw.weight().grad,
+             cs.n * ohw},
+            {"depthwise db", exact.grad_b, ref64.grad_b, dw.bias().grad,
+             cs.n * ohw},
+        };
+        for (const auto& ck : checks) {
+          EXPECT_TRUE(bytes_equal(ck.exact, ck.actual))
+              << ck.what << " " << label << " differs from the naive loop";
+          const auto res = backend::compare_tensors(
+              ck.ref64, ck.actual,
               backend::tolerance_for_reduction(ck.reduction),
               std::string(ck.what) + " " + label);
           EXPECT_TRUE(res.ok) << res.message;
