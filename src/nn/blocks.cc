@@ -96,10 +96,13 @@ Tensor SkipOp::forward(const Tensor& x) {
   for (int b = 0; b < n; ++b) {
     for (int oc = 0; oc < out_c_; ++oc) {
       const int ic = oc % in_c_;  // replicate channels cyclically
+      const float* src =
+          x.data() + (static_cast<std::size_t>(b) * in_c_ + ic) * h * w;
+      float* dst =
+          out.data() + (static_cast<std::size_t>(b) * out_c_ + oc) * oh * ow;
       for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          out.at4(b, oc, oy, ox) = x.at4(b, ic, oy * stride_, ox * stride_);
-        }
+        const float* srow = src + static_cast<std::size_t>(oy) * stride_ * w;
+        for (int ox = 0; ox < ow; ++ox) *dst++ = srow[ox * stride_];
       }
     }
   }
@@ -118,11 +121,13 @@ Tensor SkipOp::backward(const Tensor& grad_out) {
   for (int b = 0; b < n; ++b) {
     for (int oc = 0; oc < out_c_; ++oc) {
       const int ic = oc % in_c_;
+      const float* src = grad_out.data() +
+                         (static_cast<std::size_t>(b) * out_c_ + oc) * oh * ow;
+      float* dst = grad_input.data() +
+                   (static_cast<std::size_t>(b) * in_c_ + ic) * h * w;
       for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          grad_input.at4(b, ic, oy * stride_, ox * stride_) +=
-              grad_out.at4(b, oc, oy, ox);
-        }
+        float* drow = dst + static_cast<std::size_t>(oy) * stride_ * w;
+        for (int ox = 0; ox < ow; ++ox) drow[ox * stride_] += *src++;
       }
     }
   }
