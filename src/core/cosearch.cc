@@ -19,6 +19,7 @@
 #include "obs/perf/work_counters.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "tensor/backend/backend.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "util/crc32.h"
@@ -271,6 +272,7 @@ void CoSearchEngine::save_checkpoint(ckpt::SectionWriter& writer) {
     sio::put_i32(out, cfg_.budget.dsp);
     sio::put_f64(out, reward_ewma_);
     sio::put_bool(out, reward_ewma_init_);
+    sio::put_string(out, tensor::backend::active().name);
     writer.end_section();
   }
   {
@@ -354,6 +356,13 @@ void CoSearchEngine::restore_checkpoint(const ckpt::SectionReader& reader) {
              "checkpoint restore: DSP budget mismatch");
   const double reward_ewma = sio::get_f64(meta);
   const bool reward_ewma_init = sio::get_bool(meta);
+  // Backends round differently, so the run only continues bit-exactly on
+  // the kernel backend that wrote the checkpoint.
+  const std::string saved_backend = sio::get_string(meta);
+  const std::string backend = tensor::backend::active().name;
+  A3CS_CHECK(saved_backend == backend,
+             "checkpoint restore: written under kernel backend '" +
+                 saved_backend + "' but this run uses '" + backend + "'");
 
   {
     auto in = reader.stream("theta");

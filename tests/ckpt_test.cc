@@ -25,6 +25,7 @@
 #include "nn/optim.h"
 #include "nn/zoo.h"
 #include "rl/a2c.h"
+#include "tensor/backend/backend.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -605,6 +606,33 @@ TEST(CoSearchCheckpoint, RestoreRejectsMismatchedConfig) {
     core::CoSearchEngine b("Catch", cfg2, nullptr);
     ckpt::SectionReader r(bytes);
     EXPECT_THROW(b.restore_checkpoint(r), std::runtime_error);
+  }
+}
+
+TEST(CoSearchCheckpoint, RestoreRejectsOtherKernelBackend) {
+  if (!tensor::backend::cpu_supports_avx2()) {
+    GTEST_SKIP() << "host lacks AVX2+FMA; avx2 backend unavailable";
+  }
+  const auto cfg = tiny_cosearch_config();
+  std::string bytes;
+  {
+    tensor::backend::ScopedBackend scalar(tensor::backend::scalar_backend());
+    core::CoSearchEngine a("Catch", cfg, nullptr);
+    a.run(8 * 4);
+    ckpt::SectionWriter snap;
+    a.save_checkpoint(snap);
+    bytes = snap.encode();
+  }
+  tensor::backend::ScopedBackend avx2(*tensor::backend::avx2_backend());
+  core::CoSearchEngine b("Catch", cfg, nullptr);
+  ckpt::SectionReader r(bytes);
+  try {
+    b.restore_checkpoint(r);
+    FAIL() << "restore under avx2 accepted a scalar checkpoint";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'scalar'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'avx2'"), std::string::npos) << what;
   }
 }
 
