@@ -8,8 +8,8 @@
 // Run `bench_kernels --json BENCH_KERNELS.json` to refresh the committed
 // baseline and `bench_report --check` to diff against it
 // (docs/BENCHMARKING.md). `bench_kernels --backends` prints the backends
-// usable on this host, one per line (bench/run_sanitized.sh probes it before
-// running the A3CS_BACKEND=avx2 test stage). A3CS_BENCH_SMOKE=1 shrinks
+// usable on this host, one per line (bench/run_sanitized.sh reruns its
+// backend test stage once per line). A3CS_BENCH_SMOKE=1 shrinks
 // every case to a tiny shape with one repeat so ctest's bench_smoke can
 // exercise the code path in milliseconds.
 #include <algorithm>
@@ -197,8 +197,8 @@ BENCH("vecenv_step") {
 }
 
 int main(int argc, char** argv) {
-  // Machine-readable host-capability probe (used by bench/run_sanitized.sh
-  // to decide whether the A3CS_BACKEND=avx2 stage can run). Handled here —
+  // Machine-readable host-capability probe (bench/run_sanitized.sh reruns
+  // its backend stage once per listed backend). Handled here —
   // not in run_bench_main — because the backend registry lives in the tensor
   // layer, below the obs bench driver.
   for (int i = 1; i < argc; ++i) {

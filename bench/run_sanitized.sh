@@ -29,11 +29,11 @@
 # pass sweeps the numeric layers — tensor kernels, nn layers/optimizers, the
 # NAS/DAS/accel math — where signed overflow and bad float casts would hide.
 #
-# Every pass finishes with a kernel-backend stage: when the host supports
-# the avx2 backend (probed via `bench_kernels --backends`), the numeric
-# tier-1 slice reruns under A3CS_BACKEND=avx2 so the SIMD kernels get the
-# same sanitizer coverage as the scalar defaults; hosts without AVX2/FMA
-# print a SKIP and stay green.
+# Every pass finishes with a kernel-backend stage: the numeric tier-1 slice
+# reruns under each backend the host supports (probed via `bench_kernels
+# --backends`), scalar and avx2, so both get the same sanitizer coverage
+# whatever the default (auto) resolved to above; hosts without AVX2/FMA
+# rerun scalar only.
 set -eu
 
 SAN="${A3CS_SANITIZE:-address}"
@@ -137,20 +137,18 @@ if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
   rm -rf "$FLEET_DIR"
 fi
 
-# Kernel-backend stage: rerun the numeric tier-1 slice under the avx2
-# backend so the per-TU SIMD kernels (src/tensor/backend/kernels_avx2.cc)
-# see the same sanitizer as the scalar path. Probe the host first —
-# bench_kernels --backends prints one usable backend per line.
+# Kernel-backend stage: rerun the numeric tier-1 slice under every backend
+# the host supports, so the scalar reference and the per-TU SIMD kernels
+# (src/tensor/backend/kernels_avx2.cc) both see the sanitizer. Probe the
+# host first — bench_kernels --backends prints one usable backend per line.
 if [ "$status" -eq 0 ]; then
   cmake --build "$BUILD" -j "$(nproc)" --target bench_kernels \
     tensor_test nn_layers_test determinism_test backend_check_test >/dev/null
-  if "$BUILD/bench/bench_kernels" --backends | grep -qx avx2; then
+  for b in $("$BUILD/bench/bench_kernels" --backends); do
     for t in tensor_test nn_layers_test determinism_test backend_check_test; do
-      echo "== $t ($SAN, A3CS_BACKEND=avx2) =="
-      A3CS_BACKEND=avx2 "$BUILD/tests/$t" || status=$?
+      echo "== $t ($SAN, A3CS_BACKEND=$b) =="
+      A3CS_BACKEND="$b" "$BUILD/tests/$t" || status=$?
     done
-  else
-    echo "== backend stage: SKIP (avx2 backend unavailable on this host) =="
-  fi
+  done
 fi
 exit "$status"

@@ -48,7 +48,7 @@ bool select(const std::string& name) {
 }
 
 void select_from_env() {
-  const std::string raw = util::env_string("A3CS_BACKEND", "scalar");
+  const std::string raw = util::env_string("A3CS_BACKEND", "auto");
   const Backend* b = resolve(raw);
   if (b == nullptr) {
     A3CS_LOG(WARN) << "A3CS_BACKEND=" << raw
@@ -66,9 +66,7 @@ std::vector<std::string> available_names() {
   return names;
 }
 
-ScopedBackend::ScopedBackend(const Backend& b)
-    : prev_(active_slot().load(std::memory_order_acquire)) {
-  if (prev_ == nullptr) prev_ = &scalar_backend();
+ScopedBackend::ScopedBackend(const Backend& b) : prev_(&active()) {
   active_slot().store(&b, std::memory_order_release);
 }
 

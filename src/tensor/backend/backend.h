@@ -12,8 +12,8 @@
 //
 // Two backends exist:
 //  - "scalar": the blocked 4x8 register-tile kernels, compiled with the
-//    portable baseline flags. This is the DEFAULT and the reference the
-//    other backend is checked against.
+//    portable baseline flags. The reference the other backend is checked
+//    against, and what the default resolves to on hosts without AVX2+FMA.
 //  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
 //    vectorized im2col/col2im), compiled per-TU with -mavx2 -mfma and
 //    registered only when the host CPU supports both. Deterministic across
@@ -22,10 +22,12 @@
 //    documented ULP tolerance by tests/backend_check_test.cc via
 //    tensor/backend/check.h.
 //
-// Selection: A3CS_BACKEND={scalar,avx2,auto} (default scalar). "auto" picks
-// the fastest backend the CPU supports; asking for avx2 on a host without
-// AVX2+FMA warns and falls back to scalar. Programmatic override via
-// select() / ScopedBackend (benches sweep the backend dimension with it).
+// Selection: A3CS_BACKEND={scalar,avx2,auto} (default auto). "auto" picks
+// the fastest backend the CPU supports (avx2 where available, else scalar);
+// A3CS_BACKEND=scalar reproduces the reference rounding on any host. Asking
+// for avx2 on a host without AVX2+FMA warns and falls back to scalar.
+// Programmatic override via select() / ScopedBackend (benches sweep the
+// backend dimension with it).
 #pragma once
 
 #include <string>
@@ -79,8 +81,9 @@ const Backend& active();
 // leaves the active backend unchanged) for unknown or unsupported names.
 bool select(const std::string& name);
 
-// Re-reads A3CS_BACKEND and applies it (unknown/unsupported values warn and
-// fall back to scalar, mirroring the env handling of obs::ObsConfig).
+// Re-reads A3CS_BACKEND (unset means "auto") and applies it. Unknown or
+// unsupported values warn and fall back to scalar, mirroring the env
+// handling of obs::ObsConfig.
 void select_from_env();
 
 // Names of the backends usable on this host, scalar first.
