@@ -116,8 +116,8 @@ void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
 
 namespace {
 
-// The kernel taps [lo, hi) of a window that starts at input index i0 and
-// land inside [0, size): the padding clamp, taken once per window.
+// The kernel taps [lo, hi) of a window starting at input index i0 that land
+// inside [0, size): the padding clamp, taken once per window.
 struct TapRange {
   int lo, hi;
 };
