@@ -34,17 +34,23 @@ Tensor Conv2d::forward(const Tensor& x) {
   const int ckk = in_c_ * kernel_ * kernel_;
   const int ohw = geom_.oh * geom_.ow;
   const int batch_cols = geom_.n * ohw;
-  cached_cols_ = Tensor(Shape::mat(ckk, batch_cols));
+  // im2col, the GEMM (beta = 0) and the re-layout below write every
+  // element of their outputs, so none of them is zero-filled first.
+  const Shape cols_shape = Shape::mat(ckk, batch_cols);
+  if (cached_cols_.shape() != cols_shape) {
+    cached_cols_ = Tensor::uninitialized(cols_shape);
+  }
   tensor::im2col(x, geom_, cached_cols_);
   has_cache_ = true;
 
-  Tensor out(Shape::nchw(geom_.n, out_c_, geom_.oh, geom_.ow));
+  Tensor out =
+      Tensor::uninitialized(Shape::nchw(geom_.n, out_c_, geom_.oh, geom_.ow));
   A3CS_PROF_SCOPE("conv-fwd");
   // y(OC x N*ohw) = W(OC x ckk) @ cols(ckk x N*ohw): one whole-batch GEMM.
   // At N == 1 that is already NCHW, so the GEMM writes straight into `out`
   // and the pass below only adds the bias in place.
   Tensor y;
-  if (geom_.n > 1) y = Tensor(Shape::mat(out_c_, batch_cols));
+  if (geom_.n > 1) y = Tensor::uninitialized(Shape::mat(out_c_, batch_cols));
   float* yd = geom_.n > 1 ? y.data() : out.data();
   gemm_raw(weight_.value.data(), false, cached_cols_.data(), false, yd, out_c_,
            ckk, batch_cols);
@@ -73,8 +79,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   A3CS_PROF_SCOPE("conv-bwd");
 
   // g(OC x N*ohw): grad_out with its sample and channel axes swapped, the
-  // layout of the forward GEMM's output.
-  Tensor g_mat(Shape::mat(out_c_, batch_cols));
+  // layout of the forward GEMM's output. Every element is copied in.
+  Tensor g_mat = Tensor::uninitialized(Shape::mat(out_c_, batch_cols));
   float* g = g_mat.data();
   for (int n = 0; n < geom_.n; ++n) {
     for (int oc = 0; oc < out_c_; ++oc) {
@@ -96,12 +102,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // grad_W(OC x ckk) += g(OC x N*ohw) @ cols^T(N*ohw x ckk)
   gemm_raw(g, false, cached_cols_.data(), true, weight_.grad.data(), out_c_,
            batch_cols, ckk, 1.0f, 1.0f);
-  // grad_cols(ckk x N*ohw) = W^T(ckk x OC) @ g(OC x N*ohw)
-  Tensor grad_cols(Shape::mat(ckk, batch_cols));
+  // grad_cols(ckk x N*ohw) = W^T(ckk x OC) @ g(OC x N*ohw); beta = 0 never
+  // reads it, and col2im zeroes grad_input itself.
+  Tensor grad_cols = Tensor::uninitialized(Shape::mat(ckk, batch_cols));
   gemm_raw(weight_.value.data(), true, g, false, grad_cols.data(), ckk,
            out_c_, batch_cols);
 
-  Tensor grad_input(Shape::nchw(geom_.n, in_c_, geom_.h, geom_.w));
+  Tensor grad_input =
+      Tensor::uninitialized(Shape::nchw(geom_.n, in_c_, geom_.h, geom_.w));
   tensor::col2im(grad_cols, geom_, grad_input);
   has_cache_ = false;
   return grad_input;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -13,24 +14,38 @@ class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape, float fill = 0.0f);
-  Tensor(Shape shape, std::vector<float> data);
+  Tensor(Shape shape, const std::vector<float>& data);
+
+  // A tensor whose elements are NOT initialized. Only for outputs whose every
+  // element is written before any is read (a GEMM with beta = 0, an im2col
+  // matrix, an elementwise result). Builds with A3CS_SANITIZE set fill it
+  // with quiet NaN instead, so an element a kernel forgets to write shows up
+  // as NaN in the bit-exact tests.
+  static Tensor uninitialized(Shape shape);
+
+  // Copies are one memcpy; a copy-assignment reuses the buffer when the
+  // element counts match.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(Tensor&& other) noexcept;
 
   const Shape& shape() const { return shape_; }
-  std::int64_t numel() const { return static_cast<std::int64_t>(data_.size()); }
-  bool empty() const { return data_.empty(); }
+  std::int64_t numel() const { return numel_; }
+  bool empty() const { return numel_ == 0; }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-  std::vector<float>& vec() { return data_; }
-  const std::vector<float>& vec() const { return data_; }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
+  // A copy of the elements (tests compare and concatenate with it).
+  std::vector<float> vec() const { return {data(), data() + numel_}; }
 
-  // Flat element access (bounds-checked in debug via vector::at in at()).
+  // Flat element access; at() checks the bounds.
   float& operator[](std::int64_t i) { return data_[static_cast<std::size_t>(i)]; }
   float operator[](std::int64_t i) const {
     return data_[static_cast<std::size_t>(i)];
   }
-  float& at(std::int64_t i) { return data_.at(static_cast<std::size_t>(i)); }
-  float at(std::int64_t i) const { return data_.at(static_cast<std::size_t>(i)); }
+  float& at(std::int64_t i);
+  float at(std::int64_t i) const;
 
   // Multi-dimensional accessors; rank must match.
   float& at2(int i, int j);
@@ -64,7 +79,8 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::int64_t numel_ = 0;
+  std::unique_ptr<float[]> data_;
 };
 
 Tensor operator+(Tensor a, const Tensor& b);

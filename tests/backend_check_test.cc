@@ -509,8 +509,8 @@ DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
   const int oh = grad_out.shape()[2], ow = grad_out.shape()[3];
   std::vector<Acc> out(static_cast<std::size_t>(grad_out.numel()));
   std::vector<Acc> gin(static_cast<std::size_t>(x.numel()), Acc(0));
-  std::vector<Acc> gw(grad_w0.vec().begin(), grad_w0.vec().end());
-  std::vector<Acc> gb(grad_b0.vec().begin(), grad_b0.vec().end());
+  std::vector<Acc> gw(grad_w0.data(), grad_w0.data() + grad_w0.numel());
+  std::vector<Acc> gb(grad_b0.data(), grad_b0.data() + grad_b0.numel());
   const auto xi = [&](int s, int ch, int iy, int ix) {
     return ((static_cast<std::size_t>(s) * c + ch) * h + iy) * wd + ix;
   };
@@ -524,7 +524,7 @@ DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
       for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox) {
           Acc acc = b[ch];
-          const Acc go = grad_out.vec()[oi(s, ch, oy, ox)];
+          const Acc go = grad_out.data()[oi(s, ch, oy, ox)];
           bias_acc += go;
           for (int ky = 0; ky < k; ++ky) {
             const int iy = oy * stride - pad + ky;
@@ -532,7 +532,7 @@ DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
             for (int kx = 0; kx < k; ++kx) {
               const int ix = ox * stride - pad + kx;
               if (ix < 0 || ix >= wd) continue;
-              acc += Acc(w[w0 + ky * k + kx]) * Acc(x.vec()[xi(s, ch, iy, ix)]);
+              acc += Acc(w[w0 + ky * k + kx]) * Acc(x.data()[xi(s, ch, iy, ix)]);
             }
           }
           out[oi(s, ch, oy, ox)] = acc;
@@ -543,7 +543,7 @@ DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
             for (int kx = 0; kx < k; ++kx) {
               const int ix = ox * stride - pad + kx;
               if (ix < 0 || ix >= wd) continue;
-              gw[w0 + ky * k + kx] += go * Acc(x.vec()[xi(s, ch, iy, ix)]);
+              gw[w0 + ky * k + kx] += go * Acc(x.data()[xi(s, ch, iy, ix)]);
               gin[xi(s, ch, iy, ix)] += go * Acc(w[w0 + ky * k + kx]);
             }
           }

@@ -26,6 +26,10 @@ using nn::Tensor;
 
 constexpr int kThreadCounts[] = {2, 3, 8};
 
+void append(std::vector<float>& out, const Tensor& t) {
+  out.insert(out.end(), t.data(), t.data() + t.numel());
+}
+
 // Runs `fn` with the global pool resized to `threads`, restoring serial mode
 // afterwards so tests stay independent.
 template <typename Fn>
@@ -94,7 +98,7 @@ TEST(Determinism, Im2ColAndCol2ImBitExact) {
     Tensor back(x.shape());
     tensor::col2im(cols, g, back);
     auto out = cols.vec();
-    out.insert(out.end(), back.vec().begin(), back.vec().end());
+    append(out, back);
     return out;
   };
   const auto ref = at_threads(1, run);
@@ -120,11 +124,9 @@ TEST(Determinism, Conv2dForwardBackwardBitExact) {
       const Tensor grad_out = random_tensor(y.shape(), 6);
       Tensor grad_in = conv.backward(grad_out);
       auto out = y.vec();
-      out.insert(out.end(), grad_in.vec().begin(), grad_in.vec().end());
-      out.insert(out.end(), conv.weight().grad.vec().begin(),
-                 conv.weight().grad.vec().end());
-      out.insert(out.end(), conv.bias().grad.vec().begin(),
-                 conv.bias().grad.vec().end());
+      append(out, grad_in);
+      append(out, conv.weight().grad);
+      append(out, conv.bias().grad);
       return out;
     };
     const auto ref = at_threads(1, run);
@@ -148,7 +150,7 @@ TEST(Determinism, MixedOpTopKBackwardBitExact) {
     const Tensor grad_out = random_tensor(y.shape(), 8);
     Tensor grad_in = op.backward(grad_out);
     auto out = op.alpha().param().grad.vec();
-    out.insert(out.end(), grad_in.vec().begin(), grad_in.vec().end());
+    append(out, grad_in);
     return out;
   };
   const auto ref = at_threads(1, run);
@@ -171,7 +173,7 @@ TEST(Determinism, VecEnvStepSequenceBitExact) {
         actions.push_back(action_rng.uniform_int(envs.num_actions()));
       }
       const auto& step = envs.step(actions);
-      out.insert(out.end(), step.obs.vec().begin(), step.obs.vec().end());
+      append(out, step.obs);
       for (double r : step.rewards) out.push_back(static_cast<float>(r));
       for (std::uint8_t d : step.dones) out.push_back(static_cast<float>(d));
     }
@@ -203,7 +205,7 @@ TEST(Determinism, ShortA2cRunBitExact) {
     trainer.train(1200);
     std::vector<float> out;
     for (const auto* p : agent.net->parameters()) {
-      out.insert(out.end(), p->value.vec().begin(), p->value.vec().end());
+      append(out, p->value);
     }
     return out;
   };
