@@ -215,7 +215,8 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
     stats.update_skipped = true;
   } else {
     if (update_theta) {
-      nn::clip_grad_norm(params, static_cast<float>(cfg_.a2c.grad_clip));
+      nn::clip_grad_norm(params, static_cast<float>(cfg_.a2c.grad_clip),
+                         grad_stats);
       theta_opt_.step(params);
     }
     if (update_alpha) {

@@ -69,8 +69,8 @@ void zero_gradients(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) p->grad.zero();
 }
 
-float clip_grad_norm(const std::vector<Parameter*>& params, float max_norm) {
-  const NormStats stats = grad_norm_stats(params);
+float clip_grad_norm(const std::vector<Parameter*>& params, float max_norm,
+                     const NormStats& stats) {
   const float norm = static_cast<float>(stats.norm);
   if (!stats.finite) {
     // A non-finite norm means at least one gradient element is NaN/Inf;

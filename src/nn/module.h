@@ -82,11 +82,14 @@ NormStats param_norm_stats(const std::vector<Parameter*>& params);
 // training-health guard).
 void zero_gradients(const std::vector<Parameter*>& params);
 
-// Global L2-norm gradient clipping; returns the pre-clip norm. A non-finite
-// pre-clip norm (any NaN/Inf gradient element) ZEROES all gradients — the
-// subsequent optimizer step becomes a no-op instead of poisoning every
-// weight — and the raw non-finite norm is returned so callers can observe
-// and report the event (see docs/ROBUSTNESS.md).
-float clip_grad_norm(const std::vector<Parameter*>& params, float max_norm);
+// Global L2-norm gradient clipping; returns the pre-clip norm. `stats` is
+// grad_norm_stats(params), which callers have already taken for the health
+// monitor, with no gradient changed since. A non-finite pre-clip norm (any
+// NaN/Inf gradient element) ZEROES all gradients — the subsequent optimizer
+// step becomes a no-op instead of poisoning every weight — and the raw
+// non-finite norm is returned so callers can observe and report the event
+// (see docs/ROBUSTNESS.md).
+float clip_grad_norm(const std::vector<Parameter*>& params, float max_norm,
+                     const NormStats& stats);
 
 }  // namespace a3cs::nn

@@ -116,7 +116,8 @@ UpdateStats a2c_update(nn::ActorCriticNet& net, const Rollout& rollout,
       nn::zero_gradients(params);
       stats.skipped = true;
     } else {
-      nn::clip_grad_norm(params, static_cast<float>(cfg.grad_clip));
+      nn::clip_grad_norm(params, static_cast<float>(cfg.grad_clip),
+                         grad_stats);
       opt.step(params);
     }
   }

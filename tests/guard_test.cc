@@ -415,7 +415,8 @@ TEST(ClipGradNorm, NonFiniteNormZeroesGradients) {
   auto params = lin.parameters();
   params[0]->grad.fill(5.0f);
   params[1]->grad[0] = std::numeric_limits<float>::quiet_NaN();
-  const float norm = nn::clip_grad_norm(params, 1.0f);
+  const float norm =
+      nn::clip_grad_norm(params, 1.0f, nn::grad_norm_stats(params));
   EXPECT_FALSE(std::isfinite(norm));
   for (auto* p : params) {
     for (std::int64_t i = 0; i < p->grad.numel(); ++i) {

@@ -290,7 +290,8 @@ TEST(ClipGradNorm, ScalesDownLargeGradients) {
   auto params = lin.parameters();
   params[0]->grad.fill(10.0f);
   params[1]->grad.fill(10.0f);
-  const float norm_before = nn::clip_grad_norm(params, 1.0f);
+  const float norm_before =
+      nn::clip_grad_norm(params, 1.0f, nn::grad_norm_stats(params));
   EXPECT_GT(norm_before, 1.0f);
   double total = 0.0;
   for (auto* p : params) {
@@ -305,7 +306,7 @@ TEST(ClipGradNorm, LeavesSmallGradientsAlone) {
   nn::Linear lin("l", 2, 2, rng);
   auto params = lin.parameters();
   params[0]->grad.fill(0.01f);
-  nn::clip_grad_norm(params, 100.0f);
+  nn::clip_grad_norm(params, 100.0f, nn::grad_norm_stats(params));
   EXPECT_FLOAT_EQ(params[0]->grad[0], 0.01f);
 }
 
