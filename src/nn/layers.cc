@@ -10,6 +10,8 @@ namespace a3cs::nn {
 
 using tensor::ConvGeometry;
 using tensor::gemm_raw;
+using tensor::TapRange;
+using tensor::taps_inside;
 
 // ---------------------------------------------------------------- Conv2d --
 
@@ -122,20 +124,6 @@ void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
 
 // ------------------------------------------------------- DepthwiseConv2d --
 
-namespace {
-
-// The kernel taps [lo, hi) of a window starting at input index i0 that land
-// inside [0, size): the padding clamp, taken once per window.
-struct TapRange {
-  int lo, hi;
-};
-
-TapRange taps_inside(int i0, int kernel, int size) {
-  return {std::max(0, -i0), std::min(kernel, size - i0)};
-}
-
-}  // namespace
-
 DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
                                  int stride, int pad, util::Rng& rng)
     : name_(std::move(name)),
@@ -148,10 +136,8 @@ DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
   he_normal(weight_.value, kernel * kernel, rng);
 }
 
-// Both passes walk one (sample, channel) plane at a time through raw plane
-// pointers and clamp each window to its in-bounds taps once. Input row
-// pointers start at the first in-bounds tap, so none points before its
-// buffer. Taps run ky, then kx, ascending.
+// The forward runs on the kernel backend (tensor::depthwise_conv2d) over a
+// tap table cached per input plane size.
 Tensor DepthwiseConv2d::forward(const Tensor& x) {
   A3CS_CHECK(x.shape().rank() == 4 && x.shape()[1] == channels_,
              name_ + ": input shape mismatch");
@@ -159,40 +145,16 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
       ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
   cached_input_ = x;
   has_cache_ = true;
-  Tensor out(Shape::nchw(g.n, channels_, g.oh, g.ow));
-  const int k = kernel_;
-  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
-  const std::size_t out_plane = static_cast<std::size_t>(g.oh) * g.ow;
-  for (int n = 0; n < g.n; ++n) {
-    for (int c = 0; c < channels_; ++c) {
-      const std::size_t plane = static_cast<std::size_t>(n) * channels_ + c;
-      const float* xp = x.data() + plane * in_plane;
-      float* op = out.data() + plane * out_plane;
-      const float* w =
-          weight_.value.data() + static_cast<std::size_t>(c) * k * k;
-      const float b = bias_.value[c];
-      for (int oy = 0; oy < g.oh; ++oy) {
-        const int iy0 = oy * stride_ - pad_;
-        const TapRange ty = taps_inside(iy0, k, g.h);
-        float* orow = op + static_cast<std::size_t>(oy) * g.ow;
-        for (int ox = 0; ox < g.ow; ++ox) {
-          const int ix0 = ox * stride_ - pad_;
-          const TapRange tx = taps_inside(ix0, k, g.w);
-          float acc = b;
-          for (int ky = ty.lo; ky < ty.hi; ++ky) {
-            const float* wrow = w + ky * k + tx.lo;
-            const float* xrow =
-                xp + static_cast<std::size_t>(iy0 + ky) * g.w + (ix0 + tx.lo);
-            for (int i = 0; i < tx.hi - tx.lo; ++i) acc += wrow[i] * xrow[i];
-          }
-          orow[ox] = acc;
-        }
-      }
-    }
-  }
+  if (!taps_.matches(g)) taps_ = tensor::make_tap_table(g);
+  Tensor out = Tensor::uninitialized(Shape::nchw(g.n, channels_, g.oh, g.ow));
+  tensor::depthwise_conv2d(x, weight_.value, bias_.value, g, taps_, out);
   return out;
 }
 
+// The backward walks one (sample, channel) plane at a time through raw plane
+// pointers and clamps each window to its in-bounds taps once. Input row
+// pointers start at the first in-bounds tap, so none points before its
+// buffer. Taps run ky, then kx, ascending.
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   A3CS_CHECK(has_cache_, name_ + ": backward before forward");
   const Tensor& x = cached_input_;
@@ -311,10 +273,8 @@ void Linear::collect_parameters(std::vector<Parameter*>& out) {
 Tensor ReLU::forward(const Tensor& x) {
   cached_input_ = x;
   has_cache_ = true;
-  Tensor out = x;
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    if (out[i] < 0.0f) out[i] = 0.0f;
-  }
+  Tensor out = Tensor::uninitialized(x.shape());
+  tensor::relu(x, out);
   return out;
 }
 
@@ -322,10 +282,8 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   A3CS_CHECK(has_cache_, name_ + ": backward before forward");
   A3CS_CHECK(grad_out.same_shape(cached_input_),
              name_ + ": grad_out shape mismatch");
-  Tensor grad_input = grad_out;
-  for (std::int64_t i = 0; i < grad_input.numel(); ++i) {
-    if (cached_input_[i] <= 0.0f) grad_input[i] = 0.0f;
-  }
+  Tensor grad_input = Tensor::uninitialized(grad_out.shape());
+  tensor::relu_backward(cached_input_, grad_out, grad_input);
   has_cache_ = false;
   return grad_input;
 }

@@ -68,6 +68,7 @@ class DepthwiseConv2d : public Module {
   Parameter bias_;    // (C)
   Tensor cached_input_;
   bool has_cache_ = false;
+  tensor::TapTable taps_;  // for the last input plane size
 };
 
 // Fully connected layer on (N, IN) matrices: out = x @ W^T + b.
@@ -93,7 +94,8 @@ class Linear : public Module {
   bool has_cache_ = false;
 };
 
-// Elementwise max(x, 0).
+// Elementwise max(x, 0): x < 0 gives +0; -0 and NaN pass through. The
+// backward passes the gradient where !(x <= 0).
 class ReLU : public Module {
  public:
   explicit ReLU(std::string name = "relu") : name_(std::move(name)) {}

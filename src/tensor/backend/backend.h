@@ -1,26 +1,28 @@
 // Pluggable kernel backends for the tensor/nn hot paths.
 //
-// A Backend is a table of SHARD-LEVEL kernel functions: each entry computes
-// one contiguous shard of a parallel region (a GEMM row panel, a span of
-// im2col column-rows, a channel range of col2im). Conv2d and Linear both
-// run on the one GEMM entry, so these three kernels are all the table holds.
-// The parallel orchestration — shard boundaries, grains, work counters,
-// profiling scopes — stays in tensor/ops.cc and is IDENTICAL for every
-// backend, so the determinism contract of docs/PERFORMANCE.md (fixed
-// contiguous shards, disjoint writes, fixed reduction order) holds per
-// backend at every thread count.
+// A Backend is a table of kernel functions. The GEMM, im2col and col2im
+// entries are SHARD-LEVEL: each computes one contiguous shard of a parallel
+// region (a GEMM row panel, a span of im2col column-rows, a channel range of
+// col2im). Conv2d and Linear both run on the one GEMM entry. The depthwise
+// forward and ReLU entries run a whole (serial) pass. The parallel
+// orchestration — shard boundaries, grains, work counters, profiling
+// scopes — stays in tensor/ops.cc and is IDENTICAL for every backend, so the
+// determinism contract of docs/PERFORMANCE.md (fixed contiguous shards,
+// disjoint writes, fixed reduction order) holds per backend at every thread
+// count.
 //
 // Two backends exist:
 //  - "scalar": the blocked 4x8 register-tile kernels, compiled with the
 //    portable baseline flags. The reference the other backend is checked
 //    against, and what the default resolves to on hosts without AVX2+FMA.
 //  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
-//    vectorized im2col/col2im), compiled per-TU with -mavx2 -mfma and
-//    registered only when the host CPU supports both. Deterministic across
-//    thread counts, but NOT bit-identical to scalar: FMA contracts the
-//    multiply-add rounding step. Cross-backend agreement is enforced under a
-//    documented ULP tolerance by tests/backend_check_test.cc via
-//    tensor/backend/check.h.
+//    gather-based im2col and depthwise, vectorized col2im and ReLU),
+//    compiled per-TU with -mavx2 -mfma and registered only when the host CPU
+//    supports both. Deterministic across thread counts. Its GEMM is NOT
+//    bit-identical to scalar: FMA fuses the multiply-add rounding step, and
+//    cross-backend agreement is enforced under a documented ULP tolerance by
+//    tests/backend_check_test.cc via tensor/backend/check.h. Every other
+//    entry is bit-exact with scalar.
 //
 // Selection: A3CS_BACKEND={scalar,avx2,auto} (default auto). "auto" picks
 // the fastest backend the CPU supports (avx2 where available, else scalar);
@@ -30,6 +32,7 @@
 // backend dimension with it).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,6 +52,12 @@ namespace a3cs::tensor::backend {
 //    bit-exact across backends.
 //  col2im_channels: scatter-add column rows of channels [c0, c1) into the
 //    pre-zeroed NCHW gradient image, ascending column-row order per channel.
+//  depthwise_forward: the whole depthwise forward of tensor::depthwise_conv2d
+//    over raw buffers; `taps` is the geometry's TapTable. Valid taps
+//    are summed ky, then kx, ascending onto the bias (separate multiply and
+//    add, no padding term), so it is bit-exact across backends.
+//  relu_forward / relu_backward: y = x < 0 ? +0 : x and
+//    gi = x <= 0 ? +0 : g over n elements. Bit-exact across backends.
 struct Backend {
   const char* name;
 
@@ -61,6 +70,15 @@ struct Backend {
 
   void (*col2im_channels)(const float* cols, const ConvGeometry& g, float* out,
                           int c0, int c1);
+
+  void (*depthwise_forward)(const float* x, const float* w, const float* b,
+                            const ConvGeometry& g, const TapTable& taps,
+                            float* out);
+
+  void (*relu_forward)(const float* x, float* y, std::int64_t n);
+
+  void (*relu_backward)(const float* x, const float* g, float* gi,
+                        std::int64_t n);
 };
 
 // The portable blocked-scalar reference backend (always available).

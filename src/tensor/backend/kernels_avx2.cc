@@ -8,11 +8,15 @@
 //
 // Numerics: deterministic at every thread count — shard boundaries come from
 // the caller and every per-element GEMM reduction is one FMA chain over kk
-// ascending — but NOT bit-identical to the scalar backend: FMA fuses the
-// multiply-add rounding step.
-// im2col (pure data movement) and col2im (same per-element add order) ARE
-// bit-exact with scalar. Cross-backend agreement is enforced under the ULP
-// tolerance of tensor/backend/check.h by tests/backend_check_test.cc.
+// ascending. The GEMM is NOT bit-identical to the scalar backend: its
+// explicit FMA intrinsics fuse the multiply-add rounding step, and
+// cross-backend agreement is enforced under the ULP tolerance of
+// tensor/backend/check.h by tests/backend_check_test.cc.
+// Every other entry IS bit-exact with scalar: im2col (pure data movement),
+// col2im (same per-element add order), ReLU (same selects) and depthwise
+// (same per-element multiply and add sequence). The TU is compiled with
+// -ffp-contract=off so the compiler never fuses a written mul + add into an
+// FMA behind the code's back.
 #include "tensor/backend/backend.h"
 
 #if defined(A3CS_BACKEND_AVX2_TU)
@@ -21,6 +25,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -217,14 +222,75 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
   }
 }
 
-// im2col rows. Pure data movement, bit-exact with scalar. The stride==1 fast
-// path turns the gather of each output row segment into prefix-zeros, one
+// Output planes of at most this many positions take the gather path of
+// im2col: their rows are too short for the per-row copies to pay.
+constexpr int kGatherMaxOhw = 64;
+
+// Lanes [0, count) of an 8-lane mask set, the rest clear.
+inline __m256i lanes_below(int count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(count),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Gathers the 8 elements of `plane` at tap offsets `idx`; lanes whose offset
+// is -1 (padding, or past the end of the row) read nothing and give +0.
+inline __m256 gather_taps(const float* plane, __m256i idx, __m256 valid) {
+  return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), plane, idx, valid, 4);
+}
+
+inline __m256 valid_taps(__m256i idx) {
+  return _mm256_castsi256_ps(_mm256_cmpgt_epi32(idx, _mm256_set1_epi32(-1)));
+}
+
+// im2col rows. Pure data movement, bit-exact with scalar. A 1x1, stride 1,
+// unpadded row is the channel's planes back to back. Rows of at most
+// kGatherMaxOhw positions per sample take their tap offsets from a tap table
+// built once per shard and write each sample with 8-lane masked gathers.
+// Longer rows copy each output row segment: for stride 1 prefix-zeros, one
 // contiguous copy and suffix-zeros.
 void im2col_rows(const float* in, const ConvGeometry& g, float* out, int cr0,
                  int cr1) {
   const int hw = g.h * g.w;
   const int ohw = g.oh * g.ow;
   const int col_cols = g.n * ohw;
+  if (g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0) {
+    for (int ch = cr0; ch < cr1; ++ch) {
+      float* orow = out + static_cast<std::size_t>(ch) * col_cols;
+      for (int n = 0; n < g.n; ++n) {
+        std::memcpy(orow + static_cast<std::size_t>(n) * ohw,
+                    in + (static_cast<std::size_t>(n) * g.c + ch) * hw,
+                    static_cast<std::size_t>(hw) * sizeof(float));
+      }
+    }
+    return;
+  }
+  if (ohw <= kGatherMaxOhw) {
+    const TapTable taps = make_tap_table(g);
+    const int khw = g.kh * g.kw;
+    const int groups = taps.row / 8;
+    const __m256i tail = lanes_below(ohw - (groups - 1) * 8);
+    for (int cr = cr0; cr < cr1; ++cr) {
+      const int ch = cr / khw;
+      const std::int32_t* tap =
+          taps.offsets.data() + static_cast<std::size_t>(cr % khw) * taps.row;
+      float* orow = out + static_cast<std::size_t>(cr) * col_cols;
+      for (int n = 0; n < g.n; ++n) {
+        const float* img = in + (static_cast<std::size_t>(n) * g.c + ch) * hw;
+        float* ocell = orow + static_cast<std::size_t>(n) * ohw;
+        for (int gi = 0; gi < groups; ++gi) {
+          const __m256i idx = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(tap + gi * 8));
+          const __m256 v = gather_taps(img, idx, valid_taps(idx));
+          if (gi + 1 < groups) {
+            _mm256_storeu_ps(ocell + gi * 8, v);
+          } else {
+            _mm256_maskstore_ps(ocell + gi * 8, tail, v);
+          }
+        }
+      }
+    }
+    return;
+  }
   for (int cr = cr0; cr < cr1; ++cr) {
     const int kw_off = cr % g.kw;
     const int kh_off = (cr / g.kw) % g.kh;
@@ -314,6 +380,95 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
+// Depthwise forward over the geometry's tap table, 8 output positions of
+// one (sample, channel) plane at a time. Each group starts at the bias and,
+// for each of its live taps (ky, then kx, ascending), computes acc + w * x
+// with a separate multiply and add (this TU is built with
+// -ffp-contract=off) and keeps it only in the lanes where the tap is inside
+// the input. Padding taps add nothing, not a zero product, so every element
+// takes exactly the scalar backend's operations, -0, NaN and Inf included.
+// When the live taps average under 1.5 valid lanes per gather (tiny output
+// planes: 1x1, or 2x2 from a 3x3 input with k5 and stride 2), the scalar
+// backend's plane-pointer loop is faster and runs instead.
+void depthwise_forward(const float* x, const float* weight, const float* bias,
+                       const ConvGeometry& g, const TapTable& taps,
+                       float* out) {
+  const int khw = g.kh * g.kw;
+  const int ohw = g.oh * g.ow;
+  const int groups = taps.row / 8;
+  const int gathers = static_cast<int>(taps.live.size()) - groups;
+  if (2 * taps.valid < 3 * gathers) {
+    scalar_backend().depthwise_forward(x, weight, bias, g, taps, out);
+    return;
+  }
+  const __m256i tail = lanes_below(ohw - (groups - 1) * 8);
+  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
+  for (int n = 0; n < g.n; ++n) {
+    for (int c = 0; c < g.c; ++c) {
+      const std::size_t plane = static_cast<std::size_t>(n) * g.c + c;
+      const float* xp = x + plane * in_plane;
+      float* op = out + plane * ohw;
+      const float* w = weight + static_cast<std::size_t>(c) * khw;
+      const __m256 b = _mm256_set1_ps(bias[c]);
+      for (int gi = 0; gi < groups; ++gi) {
+        __m256 acc = b;
+        for (const std::int32_t* t =
+                 taps.live.data() + static_cast<std::size_t>(gi) * (khw + 1);
+             *t >= 0; ++t) {
+          const std::int32_t* lanes = taps.offsets.data() +
+                                      static_cast<std::size_t>(*t) * taps.row +
+                                      gi * 8;
+          const __m256i idx =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes));
+          const __m256 valid = valid_taps(idx);
+          const __m256 prod =
+              _mm256_mul_ps(_mm256_set1_ps(w[*t]), gather_taps(xp, idx, valid));
+          acc = _mm256_blendv_ps(acc, _mm256_add_ps(acc, prod), valid);
+        }
+        if (gi + 1 < groups) {
+          _mm256_storeu_ps(op + gi * 8, acc);
+        } else {
+          _mm256_maskstore_ps(op + gi * 8, tail, acc);
+        }
+      }
+    }
+  }
+}
+
+// ReLU, 8 lanes at a time; the tail goes through masked loads and stores.
+// max(0, x) returns x unless 0 > x, so -0 and NaN pass like in scalar.
+void relu_forward(const float* x, float* y, std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, _mm256_max_ps(zero, _mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i m = lanes_below(static_cast<int>(n - i));
+    _mm256_maskstore_ps(y + i, m,
+                        _mm256_max_ps(zero, _mm256_maskload_ps(x + i, m)));
+  }
+}
+
+// Keeps g where !(x <= 0): the ordered compare is false for NaN x.
+void relu_backward(const float* x, const float* g, float* gi, std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  const auto step = [&](__m256 xv, __m256 gv) {
+    return _mm256_andnot_ps(_mm256_cmp_ps(xv, zero, _CMP_LE_OQ), gv);
+  };
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(gi + i,
+                     step(_mm256_loadu_ps(x + i), _mm256_loadu_ps(g + i)));
+  }
+  if (i < n) {
+    const __m256i m = lanes_below(static_cast<int>(n - i));
+    _mm256_maskstore_ps(gi + i, m,
+                        step(_mm256_maskload_ps(x + i, m),
+                             _mm256_maskload_ps(g + i, m)));
+  }
+}
+
 }  // namespace
 
 const Backend* avx2_backend() {
@@ -324,8 +479,10 @@ const Backend* avx2_backend() {
   static const bool supported = false;
 #endif
   if (!supported) return nullptr;
-  static const Backend kAvx2{"avx2", gemm_rows, im2col_rows,
-                             col2im_channels};
+  static const Backend kAvx2{"avx2",          gemm_rows,
+                             im2col_rows,     col2im_channels,
+                             depthwise_forward, relu_forward,
+                             relu_backward};
   return &kAvx2;
 }
 

@@ -1,8 +1,11 @@
-// The blocked-scalar reference backend: the portable GEMM, im2col and col2im
-// kernels. Compiled with the baseline flags only (no -mavx2/-mfma), so it
-// runs on every host; it is the reference the avx2 backend is checked against.
+// The blocked-scalar reference backend: the portable GEMM, im2col, col2im,
+// depthwise and ReLU kernels. Compiled with the baseline flags only (no
+// -mavx2/-mfma), so it runs on every host; it is the reference the avx2
+// backend is checked against.
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/backend/backend.h"
 
@@ -181,11 +184,79 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
+// Depthwise forward, one (sample, channel) plane at a time through raw plane
+// pointers, each window clamped to its in-bounds taps once. Input row
+// pointers start at the first in-bounds tap, so none points before its
+// buffer. Taps run ky, then kx, ascending. The tap table is not needed here.
+void depthwise_forward(const float* x, const float* weight, const float* bias,
+                       const ConvGeometry& g, const TapTable& /*taps*/,
+                       float* out) {
+  const std::size_t khw = static_cast<std::size_t>(g.kh) * g.kw;
+  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
+  const std::size_t out_plane = static_cast<std::size_t>(g.oh) * g.ow;
+  for (int n = 0; n < g.n; ++n) {
+    for (int c = 0; c < g.c; ++c) {
+      const std::size_t plane = static_cast<std::size_t>(n) * g.c + c;
+      const float* xp = x + plane * in_plane;
+      float* op = out + plane * out_plane;
+      const float* w = weight + c * khw;
+      const float b = bias[c];
+      for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy0 = oy * g.stride - g.pad;
+        const TapRange ty = taps_inside(iy0, g.kh, g.h);
+        float* orow = op + static_cast<std::size_t>(oy) * g.ow;
+        for (int ox = 0; ox < g.ow; ++ox) {
+          const int ix0 = ox * g.stride - g.pad;
+          const TapRange tx = taps_inside(ix0, g.kw, g.w);
+          float acc = b;
+          for (int ky = ty.lo; ky < ty.hi; ++ky) {
+            const float* wrow = w + ky * g.kw + tx.lo;
+            const float* xrow =
+                xp + static_cast<std::size_t>(iy0 + ky) * g.w + (ix0 + tx.lo);
+            for (int i = 0; i < tx.hi - tx.lo; ++i) acc += wrow[i] * xrow[i];
+          }
+          orow[ox] = acc;
+        }
+      }
+    }
+  }
+}
+
+// ReLU without a branch per element: the comparison becomes an all-ones or
+// all-zero mask that clears the element's bits (to +0) where it holds.
+inline std::uint32_t bits_of(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+inline float from_bits(std::uint32_t u) {
+  float v;
+  std::memcpy(&v, &u, sizeof(v));
+  return v;
+}
+
+void relu_forward(const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t negative = 0u - static_cast<std::uint32_t>(x[i] < 0.0f);
+    y[i] = from_bits(bits_of(x[i]) & ~negative);
+  }
+}
+
+void relu_backward(const float* x, const float* g, float* gi, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t off = 0u - static_cast<std::uint32_t>(x[i] <= 0.0f);
+    gi[i] = from_bits(bits_of(g[i]) & ~off);
+  }
+}
+
 }  // namespace
 
 const Backend& scalar_backend() {
-  static const Backend kScalar{"scalar", gemm_rows, im2col_rows,
-                               col2im_channels};
+  static const Backend kScalar{"scalar",          gemm_rows,
+                               im2col_rows,       col2im_channels,
+                               depthwise_forward, relu_forward,
+                               relu_backward};
   return kScalar;
 }
 

@@ -168,6 +168,81 @@ void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input) {
       "col2im");
 }
 
+bool TapTable::matches(const ConvGeometry& g) const {
+  return h == g.h && w == g.w && kh == g.kh && kw == g.kw &&
+         stride == g.stride && pad == g.pad;
+}
+
+TapTable make_tap_table(const ConvGeometry& g) {
+  TapTable t;
+  t.h = g.h;
+  t.w = g.w;
+  t.kh = g.kh;
+  t.kw = g.kw;
+  t.stride = g.stride;
+  t.pad = g.pad;
+  t.row = (g.oh * g.ow + 7) / 8 * 8;
+  const int khw = g.kh * g.kw;
+  t.offsets.assign(static_cast<std::size_t>(khw) * t.row, -1);
+  std::int32_t* o = t.offsets.data();
+  for (int ky = 0; ky < g.kh; ++ky) {
+    for (int kx = 0; kx < g.kw; ++kx, o += t.row) {
+      for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy = oy * g.stride - g.pad + ky;
+        if (iy < 0 || iy >= g.h) continue;
+        for (int ox = 0; ox < g.ow; ++ox) {
+          const int ix = ox * g.stride - g.pad + kx;
+          if (ix >= 0 && ix < g.w) {
+            o[oy * g.ow + ox] = iy * g.w + ix;
+            ++t.valid;
+          }
+        }
+      }
+    }
+  }
+  const int groups = t.row / 8;
+  t.live.reserve(static_cast<std::size_t>(groups) * (khw + 1));
+  for (int gi = 0; gi < groups; ++gi) {
+    for (int tap = 0; tap < khw; ++tap) {
+      const std::int32_t* lanes =
+          t.offsets.data() + static_cast<std::size_t>(tap) * t.row + gi * 8;
+      if (std::any_of(lanes, lanes + 8,
+                      [](std::int32_t v) { return v >= 0; })) {
+        t.live.push_back(tap);
+      }
+    }
+    t.live.resize(static_cast<std::size_t>(gi + 1) * (khw + 1), -1);
+  }
+  return t;
+}
+
+void depthwise_conv2d(const Tensor& input, const Tensor& weight,
+                      const Tensor& bias, const ConvGeometry& g,
+                      const TapTable& taps, Tensor& out) {
+  A3CS_CHECK(input.shape() == Shape::nchw(g.n, g.c, g.h, g.w),
+             "depthwise input shape mismatch");
+  A3CS_CHECK(weight.shape() == Shape::mat(g.c, g.kh * g.kw) &&
+                 bias.shape() == Shape::vec(g.c),
+             "depthwise parameter shape mismatch");
+  A3CS_CHECK(out.shape() == Shape::nchw(g.n, g.c, g.oh, g.ow),
+             "depthwise output shape mismatch");
+  A3CS_CHECK(taps.matches(g), "depthwise tap table built for another geometry");
+  backend::active().depthwise_forward(input.data(), weight.data(), bias.data(),
+                                      g, taps, out.data());
+}
+
+void relu(const Tensor& x, Tensor& y) {
+  A3CS_CHECK(y.same_shape(x), "relu output shape mismatch");
+  backend::active().relu_forward(x.data(), y.data(), x.numel());
+}
+
+void relu_backward(const Tensor& x, const Tensor& grad_out, Tensor& grad_in) {
+  A3CS_CHECK(grad_out.same_shape(x) && grad_in.same_shape(x),
+             "relu_backward shape mismatch");
+  backend::active().relu_backward(x.data(), grad_out.data(), grad_in.data(),
+                                  x.numel());
+}
+
 void softmax_rows(const Tensor& logits, Tensor& probs) {
   A3CS_CHECK(logits.shape().rank() == 2, "softmax_rows requires a matrix");
   A3CS_CHECK(probs.shape() == logits.shape(), "softmax output shape mismatch");

@@ -1,4 +1,5 @@
-// Free-function kernels on Tensors: GEMM, im2col/col2im, row softmax.
+// Free-function kernels on Tensors: GEMM, im2col/col2im, depthwise
+// convolution, ReLU, row softmax.
 // These are the computational primitives the nn modules are built from.
 //
 // GEMM, im2col and col2im execute on the global util::ThreadPool with fixed
@@ -13,6 +14,10 @@
 // bit-exact blocked reference, "avx2" the FMA-fused SIMD backend —
 // per-backend determinism holds at every thread count either way.
 #pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -52,6 +57,51 @@ void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols);
 // Scatter-add the column matrix back into an NCHW gradient image.
 // `grad_input` is zeroed first.
 void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input);
+
+// The kernel taps [lo, hi) of a window starting at input index i0 that land
+// inside [0, size): the padding clamp, taken once per window.
+struct TapRange {
+  int lo, hi;
+};
+inline TapRange taps_inside(int i0, int kernel, int size) {
+  return {std::max(0, -i0), std::min(kernel, size - i0)};
+}
+
+// Input offsets of every kernel tap of a convolution geometry. Row
+// ky * kw + kx holds, for each output position oy * ow + ox, the offset
+// iy * w + ix of the tap's input element within one input plane, or -1 where
+// the tap lands in the padding. Rows are `row` entries long: oh * ow rounded
+// up to a multiple of 8, the tail filled with -1. `live` lists, for each
+// group of 8 output positions, the taps valid for at least one of them,
+// ascending and ended by -1; group i's list starts at i * (kh * kw + 1).
+// Independent of the batch and channel counts, so a layer builds it once per
+// input plane size.
+struct TapTable {
+  int h = 0, w = 0, kh = 0, kw = 0, stride = 0, pad = 0;  // built for
+  int row = 0;
+  std::vector<std::int32_t> offsets;  // kh * kw rows of `row` entries
+  std::vector<std::int32_t> live;     // row / 8 lists of kh * kw + 1 entries
+  int valid = 0;  // offsets that are not -1: the valid (tap, output) pairs
+
+  bool matches(const ConvGeometry& g) const;
+};
+TapTable make_tap_table(const ConvGeometry& g);
+
+// Depthwise convolution forward: out(n, c) = bias[c] + the k x k window of
+// input plane (n, c) against filter row c of `weight` (C x KH*KW). Per
+// output element the valid taps are summed ky, then kx, ascending onto the
+// bias, on every backend, so the result is bit-exact across backends.
+// `taps` must match `g` (a layer caches it per input plane size); `out` is
+// (N, C, OH, OW) and fully overwritten.
+void depthwise_conv2d(const Tensor& input, const Tensor& weight,
+                      const Tensor& bias, const ConvGeometry& g,
+                      const TapTable& taps, Tensor& out);
+
+// ReLU: y = x where x >= 0 or x is -0 or NaN, +0 where x < 0.
+void relu(const Tensor& x, Tensor& y);
+// ReLU backward: grad_in = grad_out where !(x <= 0) (NaN x passes), +0
+// elsewhere. All three tensors have the same shape; grad_in is overwritten.
+void relu_backward(const Tensor& x, const Tensor& grad_out, Tensor& grad_in);
 
 // Row-wise softmax of a (rows x cols) matrix; output preallocated same shape.
 void softmax_rows(const Tensor& logits, Tensor& probs);

@@ -4,8 +4,8 @@
 // coverage for the checker utility itself (tolerance violations, NaN/Inf
 // reporting, deterministic failure messages), and layer checkers that
 // compare nn::Conv2d and nn::DepthwiseConv2d on every available backend
-// against naive float64 references (and Depthwise, which does not dispatch
-// through the backend table, bit for bit against its naive float loop).
+// against naive float64 references (and Depthwise, whose forward is
+// bit-exact across backends, bit for bit against its naive float loop).
 //
 // On hosts without AVX2+FMA the grid cases GTEST_SKIP; the checker-utility
 // and layer-checker cases always run.
@@ -161,6 +161,12 @@ TEST(Checker, ToleranceScalesWithReductionLength) {
 
 // ------------------------------------------------------ cross-backend grid --
 
+std::int64_t count_nan(const Tensor& t) {
+  std::int64_t n = 0;
+  for (std::int64_t i = 0; i < t.numel(); ++i) n += std::isnan(t[i]) ? 1 : 0;
+  return n;
+}
+
 class BackendGrid : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -265,9 +271,25 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
   struct GeomCase {
     int n, c, h, w, kh, stride, pad;
   };
-  const GeomCase geoms[] = {{2, 3, 12, 12, 3, 1, 1}, {1, 1, 5, 5, 3, 2, 0},
-                            {2, 2, 8, 8, 1, 1, 0},   {1, 3, 9, 7, 5, 1, 2},
-                            {3, 1, 6, 6, 3, 2, 1},   {1, 2, 4, 4, 4, 1, 3}};
+  std::vector<GeomCase> geoms = {
+      {2, 3, 12, 12, 3, 1, 1}, {1, 1, 5, 5, 3, 2, 0}, {2, 2, 8, 8, 1, 1, 0},
+      {1, 3, 9, 7, 5, 1, 2},   {3, 1, 6, 6, 3, 2, 1}, {1, 2, 4, 4, 4, 1, 3},
+      // Output planes of 63 and 64 positions (the avx2 gather path) and of
+      // 65 and 72 (the row-copy path).
+      {16, 3, 7, 9, 3, 1, 1},  {16, 3, 8, 8, 3, 1, 1},
+      {16, 3, 5, 13, 3, 1, 1}, {16, 3, 8, 9, 3, 1, 1}};
+  // Every conv geometry the supernet and the zoo ResNet create: kernels
+  // 1/3/5 (pad k/2), stride 1/2, 12x12 down to 2x2 planes, batch 1 (acting),
+  // 16 (rollout envs) and 80 (16 envs x rollout 5).
+  for (const int n : {1, 16, 80}) {
+    for (const int hw : {12, 6, 3, 2}) {
+      for (const int k : {1, 3, 5}) {
+        for (const int stride : {1, 2}) {
+          geoms.push_back({n, 3, hw, hw, k, stride, k / 2});
+        }
+      }
+    }
+  }
   backend::CheckOptions exact;
   exact.max_ulps = 0;
   exact.abs_tol = 0.0f;
@@ -292,7 +314,9 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
                                 std::to_string(gc.pad) + " t" +
                                 std::to_string(threads);
 
-      Tensor cols_ref(cols_shape), cols_avx(cols_shape);
+      // NaN-filled outputs: a cell a kernel leaves unwritten stays NaN.
+      const float nan = std::numeric_limits<float>::quiet_NaN();
+      Tensor cols_ref(cols_shape, nan), cols_avx(cols_shape, nan);
       {
         backend::ScopedBackend use(backend::scalar_backend());
         tensor::im2col(input, g, cols_ref);
@@ -304,6 +328,8 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
       auto res = backend::compare_tensors(cols_ref, cols_avx, exact,
                                           "im2col " + label);
       EXPECT_TRUE(res.ok) << res.message;
+      EXPECT_EQ(count_nan(cols_ref), 0) << "scalar im2col " << label;
+      EXPECT_EQ(count_nan(cols_avx), 0) << "avx2 im2col " << label;
 
       Tensor grad_ref(input.shape()), grad_avx(input.shape());
       {
@@ -532,7 +558,8 @@ DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
             for (int kx = 0; kx < k; ++kx) {
               const int ix = ox * stride - pad + kx;
               if (ix < 0 || ix >= wd) continue;
-              acc += Acc(w[w0 + ky * k + kx]) * Acc(x.data()[xi(s, ch, iy, ix)]);
+              acc +=
+                  Acc(w[w0 + ky * k + kx]) * Acc(x.data()[xi(s, ch, iy, ix)]);
             }
           }
           out[oi(s, ch, oy, ox)] = acc;
@@ -563,27 +590,86 @@ DwResult depthwise_loop(const Tensor& x, const Tensor& w, const Tensor& b,
           to_tensor(w.shape(), gw), to_tensor(b.shape(), gb)};
 }
 
+// Bit for bit, except that any two NaNs match: a NaN's sign and payload
+// depend on which operand of a commutative add the compiler puts first.
 bool bytes_equal(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+  if (a.shape() != b.shape()) return false;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Puts IEEE special values into the planes of channel c by c % 4:
+//  0: every input -0, every weight positive and the bias -0, so each valid
+//     product is -0 and the output stays -0 only if padding taps add
+//     nothing (a +0 padding product would turn it into +0);
+//  1: one NaN input;
+//  2: +Inf in the first and -Inf in the last position, where padding taps
+//     are nearest (a zero product of a padding tap with them would be NaN);
+//  3: left as it is.
+void put_special_values(Tensor& x, nn::DepthwiseConv2d& dw) {
+  const int n = x.shape()[0], c = x.shape()[1];
+  const int hw = x.shape()[2] * x.shape()[3];
+  const int khw = dw.kernel() * dw.kernel();
+  for (int ch = 0; ch < c; ch += 4) {
+    dw.bias().value[ch] = -0.0f;
+    for (int t = 0; t < khw; ++t) {
+      float& w = dw.weight().value[std::int64_t{ch} * khw + t];
+      w = std::fabs(w);
+    }
+  }
+  for (int s = 0; s < n; ++s) {
+    for (int ch = 0; ch < c; ++ch) {
+      float* plane = x.data() + (std::int64_t{s} * c + ch) * hw;
+      switch (ch % 4) {
+        case 0:
+          for (int i = 0; i < hw; ++i) plane[i] = -0.0f;
+          break;
+        case 1:
+          plane[(s * 7 + ch) % hw] = std::numeric_limits<float>::quiet_NaN();
+          break;
+        case 2:
+          plane[0] = std::numeric_limits<float>::infinity();
+          plane[hw - 1] = -std::numeric_limits<float>::infinity();
+          break;
+        default:
+          break;
+      }
+    }
+  }
 }
 
 TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
   // The depthwise shapes of the supernet's inverted-residual candidates:
   // mid = in_c x {1, 3, 5} for in_c 8/16/32, k3/k5, stride 1 and 2, on
-  // 12x12, 6x6 and 3x3 planes plus odd 7x7 and 5x5 ones, at batch 1
-  // (acting), 16 (rollout envs) and 80 (16 envs x rollout 5).
+  // 12x12, 6x6, 3x3 and 2x2 planes plus odd 7x7 and 5x5 ones, at batch 1
+  // (acting), 16 (rollout envs) and 80 (16 envs x rollout 5). The k5,
+  // stride 2 cases on 3x3 and 2x2 planes take the avx2 backend's scalar
+  // fallback.
+  // The cases marked `special` also carry -0, NaN and +-Inf planes
+  // (put_special_values), which pin down that padding taps are masked out
+  // rather than multiplied by zero.
   struct Case {
     int n, c, hw, k, stride;
+    bool special;
   };
-  const Case cases[] = {{80, 8, 12, 3, 1},   {80, 24, 6, 5, 1},
-                        {80, 40, 6, 3, 2},   {80, 48, 3, 5, 1},
-                        {80, 160, 3, 3, 1},  {16, 40, 12, 5, 2},
-                        {16, 16, 6, 3, 2},   {16, 80, 6, 5, 1},
-                        {16, 96, 3, 3, 1},   {16, 24, 7, 5, 2},
-                        {1, 24, 12, 3, 1},   {1, 48, 6, 5, 2},
-                        {1, 160, 3, 5, 1},   {1, 8, 5, 3, 2}};
+  const Case cases[] = {
+      {80, 8, 12, 3, 1, false},  {80, 24, 6, 5, 1, false},
+      {80, 40, 6, 3, 2, false},  {80, 48, 3, 5, 1, false},
+      {80, 160, 3, 3, 1, false}, {16, 40, 12, 5, 2, false},
+      {16, 16, 6, 3, 2, false},  {16, 80, 6, 5, 1, false},
+      {16, 96, 3, 3, 1, false},  {16, 24, 7, 5, 2, false},
+      {1, 24, 12, 3, 1, false},  {1, 48, 6, 5, 2, false},
+      {1, 160, 3, 5, 1, false},  {1, 8, 5, 3, 2, false},
+      {80, 80, 3, 5, 2, false},  {16, 32, 2, 5, 2, false},
+      {80, 24, 6, 5, 1, true},   {16, 16, 6, 3, 2, true},
+      {16, 40, 12, 5, 2, true},  {16, 32, 2, 3, 1, true},
+      {1, 48, 3, 5, 1, true},    {1, 8, 5, 3, 2, true},
+      {16, 48, 3, 5, 2, true}};
   util::Rng rng(515151);
   for (const auto& cs : cases) {
     const int pad = cs.k / 2;
@@ -591,8 +677,9 @@ TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
     for (std::int64_t i = 0; i < dw.bias().value.numel(); ++i) {
       dw.bias().value[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
     }
-    const Tensor x(Shape::nchw(cs.n, cs.c, cs.hw, cs.hw),
-                   random_vec(std::int64_t{cs.n} * cs.c * cs.hw * cs.hw, rng));
+    Tensor x(Shape::nchw(cs.n, cs.c, cs.hw, cs.hw),
+             random_vec(std::int64_t{cs.n} * cs.c * cs.hw * cs.hw, rng));
+    if (cs.special) put_special_values(x, dw);
     const auto g = ConvGeometry::make(x.shape(), cs.k, cs.k, cs.stride, pad);
     Tensor grad_out(Shape::nchw(cs.n, cs.c, g.oh, g.ow),
                     random_vec(std::int64_t{cs.n} * cs.c * g.oh * g.ow, rng));
@@ -621,8 +708,9 @@ TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
         const std::string label =
             "n" + std::to_string(cs.n) + " c" + std::to_string(cs.c) + " " +
             std::to_string(cs.hw) + "x" + std::to_string(cs.hw) + " k" +
-            std::to_string(cs.k) + " s" + std::to_string(cs.stride) + " " +
-            name + " t" + std::to_string(threads);
+            std::to_string(cs.k) + " s" + std::to_string(cs.stride) +
+            (cs.special ? " special " : " ") + name + " t" +
+            std::to_string(threads);
         const struct {
           const char* what;
           const Tensor& exact;

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "grad_check.h"
 #include "nn/blocks.h"
 #include "nn/layers.h"
+#include "tensor/backend/backend.h"
 #include "util/rng.h"
 
 namespace a3cs {
@@ -203,6 +210,51 @@ TEST(ReLU, ClampsNegatives) {
   EXPECT_FLOAT_EQ(y[1], 0);
   EXPECT_FLOAT_EQ(y[2], 2);
   EXPECT_FLOAT_EQ(y[3], 0);
+}
+
+TEST(ReLU, BitExactToBranchyLoopOnEveryBackend) {
+  // The loops ReLU ran before it dispatched through the backend table: they
+  // fix the semantics every backend must reproduce bit for bit. Forward:
+  // x < 0 gives +0, while -0 and NaN pass through. Backward: x <= 0 (-0
+  // included) gives +0, and a NaN input passes the gradient.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {-0.0f, 0.0f,  nan,     -nan, inf,
+                            -inf,  1e-40f, -1e-40f, 2.5f, -2.5f};
+  util::Rng rng(4242);
+  // 8-lane bodies plus every tail length.
+  for (const int n : {1, 7, 8, 13, 16, 37}) {
+    std::vector<float> xs(static_cast<std::size_t>(n)),
+        gs(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      xs[i] = i % 2 == 0 ? specials[(i / 2) % 10]
+                         : static_cast<float>(rng.uniform(-1.0, 1.0));
+      gs[i] = i % 3 == 0 ? specials[(i / 3 + 3) % 10]
+                         : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    const Tensor x(Shape::vec(n), xs);
+    const Tensor g(Shape::vec(n), gs);
+    Tensor want_y = x;
+    for (std::int64_t i = 0; i < want_y.numel(); ++i) {
+      if (want_y[i] < 0.0f) want_y[i] = 0.0f;
+    }
+    Tensor want_gi = g;
+    for (std::int64_t i = 0; i < want_gi.numel(); ++i) {
+      if (x[i] <= 0.0f) want_gi[i] = 0.0f;
+    }
+    for (const std::string& name : tensor::backend::available_names()) {
+      ASSERT_TRUE(tensor::backend::select(name));
+      nn::ReLU relu;
+      const Tensor y = relu.forward(x);
+      const Tensor gi = relu.backward(g);
+      const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+      EXPECT_EQ(std::memcmp(y.data(), want_y.data(), bytes), 0)
+          << "forward, n=" << n << ", backend " << name;
+      EXPECT_EQ(std::memcmp(gi.data(), want_gi.data(), bytes), 0)
+          << "backward, n=" << n << ", backend " << name;
+    }
+  }
+  tensor::backend::select_from_env();
 }
 
 TEST(Flatten, ShapeRoundTrip) {
