@@ -161,6 +161,7 @@ BENCH("im2col") {
   const int hw = b.smoke() ? 8 : 28;
   const Tensor x = random_tensor(Shape::nchw(n, ch, hw, hw), 3);
   const auto g = tensor::ConvGeometry::make(x.shape(), 3, 3, 1, 1);
+  const tensor::TapTable taps = tensor::make_tap_table(g);
   Tensor cols(Shape::mat(ch * 3 * 3, g.n * g.oh * g.ow));
   const std::string cfg = std::to_string(n) + "x" + std::to_string(ch) + "x" +
                           std::to_string(hw) + "x" + std::to_string(hw) +
@@ -170,7 +171,7 @@ BENCH("im2col") {
         .threads(threads)
         .work(0, 8 * cols.numel())
         .items(static_cast<double>(cols.numel()), "elem/s")
-        .run([&] { tensor::im2col(x, g, cols); });
+        .run([&] { tensor::im2col(x, g, taps, cols); });
   }
 }
 

@@ -42,7 +42,8 @@ Tensor Conv2d::forward(const Tensor& x) {
   if (cached_cols_.shape() != cols_shape) {
     cached_cols_ = Tensor::uninitialized(cols_shape);
   }
-  tensor::im2col(x, geom_, cached_cols_);
+  if (!taps_.matches(geom_)) taps_ = tensor::make_tap_table(geom_);
+  tensor::im2col(x, geom_, taps_, cached_cols_);
   has_cache_ = true;
 
   Tensor out =

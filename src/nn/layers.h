@@ -42,6 +42,7 @@ class Conv2d : public Module {
   Tensor cached_cols_;          // (C*KH*KW, N*OH*OW): im2col of last input
   tensor::ConvGeometry geom_{};
   bool has_cache_ = false;
+  tensor::TapTable taps_;  // for the last input plane size
 };
 
 // Depthwise 2D convolution: one k x k filter per channel.

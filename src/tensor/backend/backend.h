@@ -48,8 +48,8 @@ namespace a3cs::tensor::backend {
 //    not read C when beta == 0 (C may be uninitialized). k == 0 degenerates
 //    to C = beta * C.
 //  im2col_rows: fill column-matrix rows [cr0, cr1) (each row is one
-//    (channel, ky, kx) triple) from the NCHW input. Pure data movement —
-//    bit-exact across backends.
+//    (channel, ky, kx) triple) from the NCHW input; `taps` is the
+//    geometry's TapTable. Pure data movement — bit-exact across backends.
 //  col2im_channels: scatter-add column rows of channels [c0, c1) into the
 //    pre-zeroed NCHW gradient image, ascending column-row order per channel.
 //  depthwise_forward: the whole depthwise forward of tensor::depthwise_conv2d
@@ -65,8 +65,8 @@ struct Backend {
                     float* c, int r0, int r1, int k, int n, float alpha,
                     float beta, int a_cols, int b_cols);
 
-  void (*im2col_rows)(const float* in, const ConvGeometry& g, float* out,
-                      int cr0, int cr1);
+  void (*im2col_rows)(const float* in, const ConvGeometry& g,
+                      const TapTable& taps, float* out, int cr0, int cr1);
 
   void (*col2im_channels)(const float* cols, const ConvGeometry& g, float* out,
                           int c0, int c1);

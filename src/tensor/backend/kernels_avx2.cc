@@ -244,12 +244,12 @@ inline __m256 valid_taps(__m256i idx) {
 
 // im2col rows. Pure data movement, bit-exact with scalar. A 1x1, stride 1,
 // unpadded row is the channel's planes back to back. Rows of at most
-// kGatherMaxOhw positions per sample take their tap offsets from a tap table
-// built once per shard and write each sample with 8-lane masked gathers.
+// kGatherMaxOhw positions per sample take their tap offsets from the tap
+// table and write each sample with 8-lane masked gathers.
 // Longer rows copy each output row segment: for stride 1 prefix-zeros, one
 // contiguous copy and suffix-zeros.
-void im2col_rows(const float* in, const ConvGeometry& g, float* out, int cr0,
-                 int cr1) {
+void im2col_rows(const float* in, const ConvGeometry& g, const TapTable& taps,
+                 float* out, int cr0, int cr1) {
   const int hw = g.h * g.w;
   const int ohw = g.oh * g.ow;
   const int col_cols = g.n * ohw;
@@ -265,7 +265,6 @@ void im2col_rows(const float* in, const ConvGeometry& g, float* out, int cr0,
     return;
   }
   if (ohw <= kGatherMaxOhw) {
-    const TapTable taps = make_tap_table(g);
     const int khw = g.kh * g.kw;
     const int groups = taps.row / 8;
     const __m256i tail = lanes_below(ohw - (groups - 1) * 8);

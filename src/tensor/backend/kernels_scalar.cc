@@ -120,8 +120,8 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
 
 // Fills column-matrix rows [cr0, cr1); each row is one (channel, ky, kx)
 // triple, filled column-major over (n, oy, ox) with zero padding.
-void im2col_rows(const float* in, const ConvGeometry& g, float* out, int cr0,
-                 int cr1) {
+void im2col_rows(const float* in, const ConvGeometry& g,
+                 const TapTable& /*taps*/, float* out, int cr0, int cr1) {
   const int hw = g.h * g.w;
   const int ohw = g.oh * g.ow;
   const int col_cols = g.n * ohw;

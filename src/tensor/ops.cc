@@ -103,11 +103,13 @@ ConvGeometry ConvGeometry::make(const Shape& input, int kh, int kw, int stride,
   return g;
 }
 
-void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
+void im2col(const Tensor& input, const ConvGeometry& g, const TapTable& taps,
+            Tensor& cols) {
   const int col_rows = g.c * g.kh * g.kw;
   const int col_cols = g.n * g.oh * g.ow;
   A3CS_CHECK(cols.shape() == Shape::mat(col_rows, col_cols),
              "im2col output shape mismatch");
+  A3CS_CHECK(taps.matches(g), "im2col tap table built for another geometry");
   A3CS_PROF_SCOPE("im2col");
   {
     // Pure data movement: every output cell is one gather (or zero fill);
@@ -129,7 +131,7 @@ void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
   util::parallel_for(
       0, col_rows, grain,
       [&](std::int64_t cr0, std::int64_t cr1) {
-        be.im2col_rows(in, g, out, static_cast<int>(cr0),
+        be.im2col_rows(in, g, taps, out, static_cast<int>(cr0),
                        static_cast<int>(cr1));
       },
       "im2col");

@@ -51,13 +51,6 @@ struct ConvGeometry {
                            int pad);
 };
 
-// cols must be (c*kh*kw) x (n*oh*ow).
-void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols);
-
-// Scatter-add the column matrix back into an NCHW gradient image.
-// `grad_input` is zeroed first.
-void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input);
-
 // The kernel taps [lo, hi) of a window starting at input index i0 that land
 // inside [0, size): the padding clamp, taken once per window.
 struct TapRange {
@@ -86,6 +79,15 @@ struct TapTable {
   bool matches(const ConvGeometry& g) const;
 };
 TapTable make_tap_table(const ConvGeometry& g);
+
+// cols must be (c*kh*kw) x (n*oh*ow); `taps` is make_tap_table(g) (a layer
+// caches it per input plane size).
+void im2col(const Tensor& input, const ConvGeometry& g, const TapTable& taps,
+            Tensor& cols);
+
+// Scatter-add the column matrix back into an NCHW gradient image.
+// `grad_input` is zeroed first.
+void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input);
 
 // Depthwise convolution forward: out(n, c) = bias[c] + the k x k window of
 // input plane (n, c) against filter row c of `weight` (C x KH*KW). Per

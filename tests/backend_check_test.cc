@@ -303,6 +303,7 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
       }
       const auto g = ConvGeometry::make(input.shape(), gc.kh, gc.kh,
                                         gc.stride, gc.pad);
+      const tensor::TapTable taps = tensor::make_tap_table(g);
       const Shape cols_shape =
           Shape::mat(g.c * g.kh * g.kw, g.n * g.oh * g.ow);
       const std::string label = "geom " + std::to_string(gc.n) + "x" +
@@ -319,11 +320,11 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
       Tensor cols_ref(cols_shape, nan), cols_avx(cols_shape, nan);
       {
         backend::ScopedBackend use(backend::scalar_backend());
-        tensor::im2col(input, g, cols_ref);
+        tensor::im2col(input, g, taps, cols_ref);
       }
       {
         backend::ScopedBackend use(*backend::avx2_backend());
-        tensor::im2col(input, g, cols_avx);
+        tensor::im2col(input, g, taps, cols_avx);
       }
       auto res = backend::compare_tensors(cols_ref, cols_avx, exact,
                                           "im2col " + label);

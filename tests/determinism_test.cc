@@ -94,7 +94,7 @@ TEST(Determinism, Im2ColAndCol2ImBitExact) {
   const auto g = tensor::ConvGeometry::make(x.shape(), 3, 3, 2, 1);
   auto run = [&]() {
     Tensor cols(Shape::mat(5 * 3 * 3, g.n * g.oh * g.ow));
-    tensor::im2col(x, g, cols);
+    tensor::im2col(x, g, tensor::make_tap_table(g), cols);
     Tensor back(x.shape());
     tensor::col2im(cols, g, back);
     auto out = cols.vec();

@@ -197,7 +197,7 @@ TEST_P(Im2ColTest, MatchesDirectGather) {
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.uniform(-1, 1));
   const auto g = ConvGeometry::make(x.shape(), p.k, p.k, p.stride, p.pad);
   Tensor cols(Shape::mat(p.c * p.k * p.k, g.n * g.oh * g.ow));
-  tensor::im2col(x, g, cols);
+  tensor::im2col(x, g, tensor::make_tap_table(g), cols);
 
   // Every column entry must equal the corresponding (padded) input pixel.
   for (int cr = 0; cr < cols.shape()[0]; ++cr) {
@@ -228,7 +228,7 @@ TEST_P(Im2ColTest, Col2ImIsAdjoint) {
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.uniform(-1, 1));
   const auto g = ConvGeometry::make(x.shape(), p.k, p.k, p.stride, p.pad);
   Tensor cols(Shape::mat(p.c * p.k * p.k, g.n * g.oh * g.ow));
-  tensor::im2col(x, g, cols);
+  tensor::im2col(x, g, tensor::make_tap_table(g), cols);
 
   Tensor y(cols.shape());
   for (std::int64_t i = 0; i < y.numel(); ++i) y[i] = static_cast<float>(rng.uniform(-1, 1));
