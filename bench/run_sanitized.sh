@@ -143,9 +143,11 @@ fi
 # host first — bench_kernels --backends prints one usable backend per line.
 if [ "$status" -eq 0 ]; then
   cmake --build "$BUILD" -j "$(nproc)" --target bench_kernels \
-    tensor_test nn_layers_test determinism_test backend_check_test >/dev/null
+    tensor_test nn_layers_test nn_optim_test determinism_test \
+    backend_check_test >/dev/null
   for b in $("$BUILD/bench/bench_kernels" --backends); do
-    for t in tensor_test nn_layers_test determinism_test backend_check_test; do
+    for t in tensor_test nn_layers_test nn_optim_test determinism_test \
+      backend_check_test; do
       echo "== $t ($SAN, A3CS_BACKEND=$b) =="
       A3CS_BACKEND="$b" "$BUILD/tests/$t" || status=$?
     done

@@ -153,6 +153,7 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
   rl::LossCoefficients coef = cfg_.a2c.loss;
   if (teacher_ != nullptr &&
       (coef.distill_actor != 0.0 || coef.distill_critic != 0.0)) {
+    A3CS_PROF_SCOPE("teacher-forward");
     const auto tea = teacher_->forward(batch_obs);
     teacher_probs = Tensor(tea.logits.shape());
     tensor::softmax_rows(tea.logits, teacher_probs);

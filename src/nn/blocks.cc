@@ -21,7 +21,6 @@ ResidualBlock::ResidualBlock(std::string name, int in_c, int out_c, int kernel,
 }
 
 Tensor ResidualBlock::forward(const Tensor& x) {
-  cached_skip_input_ = x;
   Tensor main = conv2_.forward(relu1_.forward(conv1_.forward(x)));
   Tensor skip = identity_skip_ ? x : proj_->forward(x);
   main += skip;

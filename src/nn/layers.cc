@@ -10,8 +10,6 @@ namespace a3cs::nn {
 
 using tensor::ConvGeometry;
 using tensor::gemm_raw;
-using tensor::TapRange;
-using tensor::taps_inside;
 
 // ---------------------------------------------------------------- Conv2d --
 
@@ -140,6 +138,7 @@ DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
 // The forward runs on the kernel backend (tensor::depthwise_conv2d) over a
 // tap table cached per input plane size.
 Tensor DepthwiseConv2d::forward(const Tensor& x) {
+  A3CS_PROF_SCOPE("depthwise-fwd");
   A3CS_CHECK(x.shape().rank() == 4 && x.shape()[1] == channels_,
              name_ + ": input shape mismatch");
   const auto g =
@@ -152,58 +151,19 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
   return out;
 }
 
-// The backward walks one (sample, channel) plane at a time through raw plane
-// pointers and clamps each window to its in-bounds taps once. Input row
-// pointers start at the first in-bounds tap, so none points before its
-// buffer. Taps run ky, then kx, ascending.
+// The backward runs on the kernel backend too, over the forward's tap
+// table.
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
+  A3CS_PROF_SCOPE("depthwise-bwd");
   A3CS_CHECK(has_cache_, name_ + ": backward before forward");
   const Tensor& x = cached_input_;
   const auto g =
       ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
   A3CS_CHECK(grad_out.shape() == Shape::nchw(g.n, channels_, g.oh, g.ow),
              name_ + ": grad_out shape mismatch");
-  Tensor grad_input(x.shape());
-  const int k = kernel_;
-  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
-  const std::size_t out_plane = static_cast<std::size_t>(g.oh) * g.ow;
-  for (int n = 0; n < g.n; ++n) {
-    for (int c = 0; c < channels_; ++c) {
-      const std::size_t plane = static_cast<std::size_t>(n) * channels_ + c;
-      const float* xp = x.data() + plane * in_plane;
-      float* gip = grad_input.data() + plane * in_plane;
-      const float* gop = grad_out.data() + plane * out_plane;
-      const float* w =
-          weight_.value.data() + static_cast<std::size_t>(c) * k * k;
-      float* wg = weight_.grad.data() + static_cast<std::size_t>(c) * k * k;
-      double bias_acc = 0.0;
-      for (int oy = 0; oy < g.oh; ++oy) {
-        const int iy0 = oy * stride_ - pad_;
-        const TapRange ty = taps_inside(iy0, k, g.h);
-        const float* gorow = gop + static_cast<std::size_t>(oy) * g.ow;
-        for (int ox = 0; ox < g.ow; ++ox) {
-          const float go = gorow[ox];
-          bias_acc += go;
-          if (go == 0.0f) continue;
-          const int ix0 = ox * stride_ - pad_;
-          const TapRange tx = taps_inside(ix0, k, g.w);
-          for (int ky = ty.lo; ky < ty.hi; ++ky) {
-            const std::size_t row =
-                static_cast<std::size_t>(iy0 + ky) * g.w + (ix0 + tx.lo);
-            const float* xrow = xp + row;
-            float* girow = gip + row;
-            const float* wrow = w + ky * k + tx.lo;
-            float* wgrow = wg + ky * k + tx.lo;
-            for (int i = 0; i < tx.hi - tx.lo; ++i) {
-              wgrow[i] += go * xrow[i];
-              girow[i] += go * wrow[i];
-            }
-          }
-        }
-      }
-      bias_.grad[c] += static_cast<float>(bias_acc);
-    }
-  }
+  Tensor grad_input = Tensor::uninitialized(x.shape());
+  tensor::depthwise_conv2d_backward(x, weight_.value, grad_out, g, taps_,
+                                    grad_input, weight_.grad, bias_.grad);
   has_cache_ = false;
   return grad_input;
 }

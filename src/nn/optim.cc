@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/profile.h"
+#include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "util/logging.h"
 #include "util/state_io.h"
@@ -56,20 +58,15 @@ void Sgd::step(const std::vector<Parameter*>& params) {
 }
 
 void RmsProp::step(const std::vector<Parameter*>& params) {
+  A3CS_PROF_SCOPE("optim-step");
   for (Parameter* p : params) {
     auto [it, inserted] = sq_avg_.try_emplace(p, p->value.shape());
-    Tensor& v = it->second;
-    for (std::int64_t i = 0; i < v.numel(); ++i) {
-      const double g = p->grad[i];
-      v[i] = static_cast<float>(alpha_ * v[i] + (1.0 - alpha_) * g * g);
-      p->value[i] -=
-          static_cast<float>(lr_ * g / (std::sqrt(static_cast<double>(v[i])) +
-                                        eps_));
-    }
+    tensor::rmsprop_step(p->value, p->grad, it->second, lr_, alpha_, eps_);
   }
 }
 
 void Adam::step(const std::vector<Parameter*>& params) {
+  A3CS_PROF_SCOPE("optim-step");
   for (Parameter* p : params) {
     auto it = state_.find(p);
     if (it == state_.end()) {

@@ -3,8 +3,8 @@
 // A Backend is a table of kernel functions. The GEMM, im2col and col2im
 // entries are SHARD-LEVEL: each computes one contiguous shard of a parallel
 // region (a GEMM row panel, a span of im2col column-rows, a channel range of
-// col2im). Conv2d and Linear both run on the one GEMM entry. The depthwise
-// forward and ReLU entries run a whole (serial) pass. The parallel
+// col2im). Conv2d and Linear both run on the one GEMM entry. The depthwise,
+// ReLU and RMSProp entries run a whole (serial) pass. The parallel
 // orchestration — shard boundaries, grains, work counters, profiling
 // scopes — stays in tensor/ops.cc and is IDENTICAL for every backend, so the
 // determinism contract of docs/PERFORMANCE.md (fixed contiguous shards,
@@ -16,7 +16,8 @@
 //    portable baseline flags. The reference the other backend is checked
 //    against, and what the default resolves to on hosts without AVX2+FMA.
 //  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
-//    gather-based im2col and depthwise, vectorized col2im and ReLU),
+//    gather-based im2col, depthwise forward and backward with one channel
+//    per lane, vectorized col2im and ReLU, a 4-wide double RMSProp step),
 //    compiled per-TU with -mavx2 -mfma and registered only when the host CPU
 //    supports both. Deterministic across thread counts. Its GEMM is NOT
 //    bit-identical to scalar: FMA fuses the multiply-add rounding step, and
@@ -56,8 +57,17 @@ namespace a3cs::tensor::backend {
 //    over raw buffers; `taps` is the geometry's TapTable. Valid taps
 //    are summed ky, then kx, ascending onto the bias (separate multiply and
 //    add, no padding term), so it is bit-exact across backends.
+//  depthwise_backward: the whole backward of
+//    tensor::depthwise_conv2d_backward. Overwrites grad_in (starting each
+//    element at +0), accumulates into weight_grad and bias_grad, and skips
+//    the grad_in and weight_grad updates of an upstream gradient that
+//    compares equal to zero. Every element keeps the order given there, so
+//    it is bit-exact across backends.
 //  relu_forward / relu_backward: y = x < 0 ? +0 : x and
 //    gi = x <= 0 ? +0 : g over n elements. Bit-exact across backends.
+//  rmsprop_step: tensor::rmsprop_step over n elements, each in double in
+//    the written expression order (IEEE sqrt and division are correctly
+//    rounded), so it is bit-exact across backends.
 struct Backend {
   const char* name;
 
@@ -75,10 +85,18 @@ struct Backend {
                             const ConvGeometry& g, const TapTable& taps,
                             float* out);
 
+  void (*depthwise_backward)(const float* x, const float* w,
+                             const float* grad_out, const ConvGeometry& g,
+                             const TapTable& taps, float* grad_in,
+                             float* weight_grad, float* bias_grad);
+
   void (*relu_forward)(const float* x, float* y, std::int64_t n);
 
   void (*relu_backward)(const float* x, const float* g, float* gi,
                         std::int64_t n);
+
+  void (*rmsprop_step)(float* value, const float* grad, float* sq_avg,
+                       std::int64_t n, double lr, double alpha, double eps);
 };
 
 // The portable blocked-scalar reference backend (always available).

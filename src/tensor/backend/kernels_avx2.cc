@@ -13,8 +13,10 @@
 // cross-backend agreement is enforced under the ULP tolerance of
 // tensor/backend/check.h by tests/backend_check_test.cc.
 // Every other entry IS bit-exact with scalar: im2col (pure data movement),
-// col2im (same per-element add order), ReLU (same selects) and depthwise
-// (same per-element multiply and add sequence). The TU is compiled with
+// col2im (same per-element add order), ReLU (same selects), depthwise
+// forward and backward (same per-element multiply and add sequence, one
+// channel per lane) and RMSProp (same double expressions; IEEE sqrt and
+// division are correctly rounded). The TU is compiled with
 // -ffp-contract=off so the compiler never fuses a written mul + add into an
 // FMA behind the code's back.
 #include "tensor/backend/backend.h"
@@ -379,58 +381,197 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
-// Depthwise forward over the geometry's tap table, 8 output positions of
-// one (sample, channel) plane at a time. Each group starts at the bias and,
-// for each of its live taps (ky, then kx, ascending), computes acc + w * x
-// with a separate multiply and add (this TU is built with
-// -ffp-contract=off) and keeps it only in the lanes where the tap is inside
-// the input. Padding taps add nothing, not a zero product, so every element
-// takes exactly the scalar backend's operations, -0, NaN and Inf included.
-// When the live taps average under 1.5 valid lanes per gather (tiny output
-// planes: 1x1, or 2x2 from a 3x3 input with k5 and stride 2), the scalar
-// backend's plane-pointer loop is faster and runs instead.
+// The depthwise kernels hold one channel per lane: a Lanes value is one
+// position of 8 channel planes of a sample, so every lane is live at any
+// plane size and a tap is valid for all 8 lanes or none. Channels past the
+// last full group of 8 run in the low lanes of a last group; its other lanes
+// read +0 and are never written back.
+struct alignas(32) Lanes {
+  float v[8];
+};
+
+inline __m256 load(const Lanes& l) { return _mm256_load_ps(l.v); }
+inline void store(Lanes& l, __m256 v) { _mm256_store_ps(l.v, v); }
+
+// Transposes the 8x8 block r[lane][position] into r[position][lane].
+inline void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// dst[p].v[l] = src[l * plane + p] for the `lanes` consecutive planes of
+// `plane` floats at src; lanes past `lanes` read +0.
+void planes_to_lanes(const float* src, int plane, int lanes, Lanes* dst) {
+  int p = 0;
+  if (lanes == 8) {
+    for (; p + 8 <= plane; p += 8) {
+      __m256 r[8];
+      for (int l = 0; l < 8; ++l) {
+        r[l] = _mm256_loadu_ps(src + static_cast<std::size_t>(l) * plane + p);
+      }
+      transpose8(r);
+      for (int j = 0; j < 8; ++j) store(dst[p + j], r[j]);
+    }
+  }
+  const __m256i stride = _mm256_mullo_epi32(
+      _mm256_set1_epi32(plane), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 live = _mm256_castsi256_ps(lanes_below(lanes));
+  for (; p < plane; ++p) {
+    store(dst[p], _mm256_mask_i32gather_ps(_mm256_setzero_ps(), src + p,
+                                           stride, live, 4));
+  }
+}
+
+// The inverse of planes_to_lanes for the `lanes` low lanes:
+// dst[l * plane + p] = src[p].v[l].
+void lanes_to_planes(const Lanes* src, int plane, int lanes, float* dst) {
+  int p = 0;
+  if (lanes == 8) {
+    for (; p + 8 <= plane; p += 8) {
+      __m256 r[8];
+      for (int j = 0; j < 8; ++j) r[j] = load(src[p + j]);
+      transpose8(r);
+      for (int l = 0; l < 8; ++l) {
+        _mm256_storeu_ps(dst + static_cast<std::size_t>(l) * plane + p, r[l]);
+      }
+    }
+  }
+  for (; p < plane; ++p) {
+    for (int l = 0; l < lanes; ++l) {
+      dst[static_cast<std::size_t>(l) * plane + p] = src[p].v[l];
+    }
+  }
+}
+
+// Depthwise forward in channel lanes. For each group of 8 channels the
+// filters and, per sample, the input planes are brought into lane order;
+// each output position starts at the bias and, for each of its valid taps
+// (ky, then kx, ascending), computes acc + w * x with a separate multiply
+// and add (this TU is built with -ffp-contract=off). Padding taps add
+// nothing, not a zero product, so every element takes exactly the scalar
+// backend's operations, -0, NaN and Inf included.
 void depthwise_forward(const float* x, const float* weight, const float* bias,
                        const ConvGeometry& g, const TapTable& taps,
                        float* out) {
   const int khw = g.kh * g.kw;
+  const int in_plane = g.h * g.w;
   const int ohw = g.oh * g.ow;
-  const int groups = taps.row / 8;
-  const int gathers = static_cast<int>(taps.live.size()) - groups;
-  if (2 * taps.valid < 3 * gathers) {
-    scalar_backend().depthwise_forward(x, weight, bias, g, taps, out);
-    return;
-  }
-  const __m256i tail = lanes_below(ohw - (groups - 1) * 8);
-  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
-  for (int n = 0; n < g.n; ++n) {
-    for (int c = 0; c < g.c; ++c) {
-      const std::size_t plane = static_cast<std::size_t>(n) * g.c + c;
-      const float* xp = x + plane * in_plane;
-      float* op = out + plane * ohw;
-      const float* w = weight + static_cast<std::size_t>(c) * khw;
-      const __m256 b = _mm256_set1_ps(bias[c]);
-      for (int gi = 0; gi < groups; ++gi) {
+  std::vector<Lanes> wl(khw), xl(in_plane), yl(ohw);
+  for (int c0 = 0; c0 < g.c; c0 += 8) {
+    const int lanes = std::min(8, g.c - c0);
+    planes_to_lanes(weight + static_cast<std::size_t>(c0) * khw, khw, lanes,
+                    wl.data());
+    const __m256 b = _mm256_maskload_ps(bias + c0, lanes_below(lanes));
+    for (int n = 0; n < g.n; ++n) {
+      const std::size_t plane0 = static_cast<std::size_t>(n) * g.c + c0;
+      planes_to_lanes(x + plane0 * in_plane, in_plane, lanes, xl.data());
+      const TapTable::Tap* t = taps.valid.data();
+      for (int p = 0; p < ohw; ++p) {
         __m256 acc = b;
-        for (const std::int32_t* t =
-                 taps.live.data() + static_cast<std::size_t>(gi) * (khw + 1);
-             *t >= 0; ++t) {
-          const std::int32_t* lanes = taps.offsets.data() +
-                                      static_cast<std::size_t>(*t) * taps.row +
-                                      gi * 8;
-          const __m256i idx =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes));
-          const __m256 valid = valid_taps(idx);
-          const __m256 prod =
-              _mm256_mul_ps(_mm256_set1_ps(w[*t]), gather_taps(xp, idx, valid));
-          acc = _mm256_blendv_ps(acc, _mm256_add_ps(acc, prod), valid);
+        for (const TapTable::Tap* end = taps.valid.data() + taps.first[p + 1];
+             t != end; ++t) {
+          acc = _mm256_add_ps(
+              acc, _mm256_mul_ps(load(wl[t->tap]), load(xl[t->offset])));
         }
-        if (gi + 1 < groups) {
-          _mm256_storeu_ps(op + gi * 8, acc);
-        } else {
-          _mm256_maskstore_ps(op + gi * 8, tail, acc);
+        store(yl[p], acc);
+      }
+      lanes_to_planes(yl.data(), ohw, lanes, out + plane0 * ohw);
+    }
+  }
+}
+
+// Depthwise backward in the same channel lanes. Per group of 8 channels the
+// weight gradients are brought into lane order once, accumulate over n, oy,
+// ox ascending and are written back once. Per sample, dx accumulates in a
+// lane-order scratch that starts at +0, and each upstream gradient go is
+// applied as blend(acc, acc + go * v, go != 0): the unordered compare keeps
+// a NaN go, and -0 and +0 are skipped, as the scalar `go == 0` skip does.
+// The bias gradient sums each plane's go in double, two 4-lane halves, and
+// is added to the float bias gradient once per sample.
+void depthwise_backward(const float* x, const float* weight,
+                        const float* grad_out, const ConvGeometry& g,
+                        const TapTable& taps, float* grad_in,
+                        float* weight_grad, float* bias_grad) {
+  const int khw = g.kh * g.kw;
+  const int in_plane = g.h * g.w;
+  const int ohw = g.oh * g.ow;
+  std::vector<Lanes> wl(khw), wgl(khw), xl(in_plane), gl(ohw), dxl(in_plane);
+  const __m256 zero = _mm256_setzero_ps();
+  for (int c0 = 0; c0 < g.c; c0 += 8) {
+    const int lanes = std::min(8, g.c - c0);
+    const __m256i live_lanes = lanes_below(lanes);
+    planes_to_lanes(weight + static_cast<std::size_t>(c0) * khw, khw, lanes,
+                    wl.data());
+    planes_to_lanes(weight_grad + static_cast<std::size_t>(c0) * khw, khw,
+                    lanes, wgl.data());
+    for (int n = 0; n < g.n; ++n) {
+      const std::size_t plane0 = static_cast<std::size_t>(n) * g.c + c0;
+      planes_to_lanes(x + plane0 * in_plane, in_plane, lanes, xl.data());
+      planes_to_lanes(grad_out + plane0 * ohw, ohw, lanes, gl.data());
+      for (Lanes& d : dxl) store(d, zero);
+      __m256d bias_lo = _mm256_setzero_pd(), bias_hi = _mm256_setzero_pd();
+      const TapTable::Tap* t = taps.valid.data();
+      for (int p = 0; p < ohw; ++p) {
+        const __m256 go = load(gl[p]);
+        bias_lo = _mm256_add_pd(bias_lo,
+                                _mm256_cvtps_pd(_mm256_castps256_ps128(go)));
+        bias_hi = _mm256_add_pd(bias_hi,
+                                _mm256_cvtps_pd(_mm256_extractf128_ps(go, 1)));
+        const TapTable::Tap* end = taps.valid.data() + taps.first[p + 1];
+        const __m256 keep = _mm256_cmp_ps(go, zero, _CMP_NEQ_UQ);
+        if (_mm256_movemask_ps(keep) == 0) {
+          t = end;
+          continue;
+        }
+        for (; t != end; ++t) {
+          Lanes& wg = wgl[t->tap];
+          Lanes& dx = dxl[t->offset];
+          const __m256 wg_old = load(wg);
+          const __m256 dx_old = load(dx);
+          store(wg, _mm256_blendv_ps(
+                        wg_old,
+                        _mm256_add_ps(wg_old,
+                                      _mm256_mul_ps(go, load(xl[t->offset]))),
+                        keep));
+          store(dx, _mm256_blendv_ps(
+                        dx_old,
+                        _mm256_add_ps(dx_old,
+                                      _mm256_mul_ps(go, load(wl[t->tap]))),
+                        keep));
         }
       }
+      const __m256 bias_sum = _mm256_set_m128(_mm256_cvtpd_ps(bias_hi),
+                                              _mm256_cvtpd_ps(bias_lo));
+      _mm256_maskstore_ps(
+          bias_grad + c0, live_lanes,
+          _mm256_add_ps(_mm256_maskload_ps(bias_grad + c0, live_lanes),
+                        bias_sum));
+      lanes_to_planes(dxl.data(), in_plane, lanes, grad_in + plane0 * in_plane);
     }
+    lanes_to_planes(wgl.data(), khw, lanes,
+                    weight_grad + static_cast<std::size_t>(c0) * khw);
   }
 }
 
@@ -468,6 +609,32 @@ void relu_backward(const float* x, const float* g, float* gi, std::int64_t n) {
   }
 }
 
+// RMSProp, 4 elements at a time in double, in the scalar expression order;
+// the last n % 4 elements take the scalar loop.
+void rmsprop_step(float* value, const float* grad, float* sq_avg,
+                  std::int64_t n, double lr, double alpha, double eps) {
+  const __m256d alpha_v = _mm256_set1_pd(alpha);
+  const __m256d rest_v = _mm256_set1_pd(1.0 - alpha);
+  const __m256d lr_v = _mm256_set1_pd(lr);
+  const __m256d eps_v = _mm256_set1_pd(eps);
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(grad + i));
+    const __m256d v_old = _mm256_cvtps_pd(_mm_loadu_ps(sq_avg + i));
+    const __m128 v = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(alpha_v, v_old),
+                      _mm256_mul_pd(_mm256_mul_pd(rest_v, g), g)));
+    _mm_storeu_ps(sq_avg + i, v);
+    const __m256d step = _mm256_div_pd(
+        _mm256_mul_pd(lr_v, g),
+        _mm256_add_pd(_mm256_sqrt_pd(_mm256_cvtps_pd(v)), eps_v));
+    _mm_storeu_ps(value + i,
+                  _mm_sub_ps(_mm_loadu_ps(value + i), _mm256_cvtpd_ps(step)));
+  }
+  scalar_backend().rmsprop_step(value + i, grad + i, sq_avg + i, n - i, lr,
+                                alpha, eps);
+}
+
 }  // namespace
 
 const Backend* avx2_backend() {
@@ -478,10 +645,15 @@ const Backend* avx2_backend() {
   static const bool supported = false;
 #endif
   if (!supported) return nullptr;
-  static const Backend kAvx2{"avx2",          gemm_rows,
-                             im2col_rows,     col2im_channels,
-                             depthwise_forward, relu_forward,
-                             relu_backward};
+  static const Backend kAvx2{"avx2",
+                             gemm_rows,
+                             im2col_rows,
+                             col2im_channels,
+                             depthwise_forward,
+                             depthwise_backward,
+                             relu_forward,
+                             relu_backward,
+                             rmsprop_step};
   return &kAvx2;
 }
 

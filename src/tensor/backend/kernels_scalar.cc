@@ -1,8 +1,9 @@
 // The blocked-scalar reference backend: the portable GEMM, im2col, col2im,
-// depthwise and ReLU kernels. Compiled with the baseline flags only (no
+// depthwise forward and backward, ReLU and RMSProp kernels. Compiled with the baseline flags only (no
 // -mavx2/-mfma), so it runs on every host; it is the reference the avx2
 // backend is checked against.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -222,6 +223,57 @@ void depthwise_forward(const float* x, const float* weight, const float* bias,
   }
 }
 
+// Depthwise backward, one (sample, channel) plane at a time through raw
+// plane pointers, each window clamped to its in-bounds taps once. Input row
+// pointers start at the first in-bounds tap, so none points before its
+// buffer. Outputs run oy, then ox, and their taps ky, then kx, ascending.
+void depthwise_backward(const float* x, const float* weight,
+                        const float* grad_out, const ConvGeometry& g,
+                        const TapTable& /*taps*/, float* grad_in,
+                        float* weight_grad, float* bias_grad) {
+  const std::size_t khw = static_cast<std::size_t>(g.kh) * g.kw;
+  const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
+  const std::size_t out_plane = static_cast<std::size_t>(g.oh) * g.ow;
+  std::fill(grad_in, grad_in + static_cast<std::size_t>(g.n) * g.c * in_plane,
+            0.0f);
+  for (int n = 0; n < g.n; ++n) {
+    for (int c = 0; c < g.c; ++c) {
+      const std::size_t plane = static_cast<std::size_t>(n) * g.c + c;
+      const float* xp = x + plane * in_plane;
+      float* gip = grad_in + plane * in_plane;
+      const float* gop = grad_out + plane * out_plane;
+      const float* w = weight + c * khw;
+      float* wg = weight_grad + c * khw;
+      double bias_acc = 0.0;
+      for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy0 = oy * g.stride - g.pad;
+        const TapRange ty = taps_inside(iy0, g.kh, g.h);
+        const float* gorow = gop + static_cast<std::size_t>(oy) * g.ow;
+        for (int ox = 0; ox < g.ow; ++ox) {
+          const float go = gorow[ox];
+          bias_acc += go;
+          if (go == 0.0f) continue;
+          const int ix0 = ox * g.stride - g.pad;
+          const TapRange tx = taps_inside(ix0, g.kw, g.w);
+          for (int ky = ty.lo; ky < ty.hi; ++ky) {
+            const std::size_t row =
+                static_cast<std::size_t>(iy0 + ky) * g.w + (ix0 + tx.lo);
+            const float* xrow = xp + row;
+            float* girow = gip + row;
+            const float* wrow = w + ky * g.kw + tx.lo;
+            float* wgrow = wg + ky * g.kw + tx.lo;
+            for (int i = 0; i < tx.hi - tx.lo; ++i) {
+              wgrow[i] += go * xrow[i];
+              girow[i] += go * wrow[i];
+            }
+          }
+        }
+      }
+      bias_grad[c] += static_cast<float>(bias_acc);
+    }
+  }
+}
+
 // ReLU without a branch per element: the comparison becomes an all-ones or
 // all-zero mask that clears the element's bits (to +0) where it holds.
 inline std::uint32_t bits_of(float v) {
@@ -250,13 +302,24 @@ void relu_backward(const float* x, const float* g, float* gi, std::int64_t n) {
   }
 }
 
+void rmsprop_step(float* value, const float* grad, float* sq_avg,
+                  std::int64_t n, double lr, double alpha, double eps) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double g = grad[i];
+    sq_avg[i] = static_cast<float>(alpha * sq_avg[i] + (1.0 - alpha) * g * g);
+    value[i] -= static_cast<float>(
+        lr * g / (std::sqrt(static_cast<double>(sq_avg[i])) + eps));
+  }
+}
+
 }  // namespace
 
 const Backend& scalar_backend() {
   static const Backend kScalar{"scalar",          gemm_rows,
                                im2col_rows,       col2im_channels,
-                               depthwise_forward, relu_forward,
-                               relu_backward};
+                               depthwise_forward, depthwise_backward,
+                               relu_forward,      relu_backward,
+                               rmsprop_step};
   return kScalar;
 }
 

@@ -183,7 +183,8 @@ TapTable make_tap_table(const ConvGeometry& g) {
   t.kw = g.kw;
   t.stride = g.stride;
   t.pad = g.pad;
-  t.row = (g.oh * g.ow + 7) / 8 * 8;
+  const int ohw = g.oh * g.ow;
+  t.row = (ohw + 7) / 8 * 8;
   const int khw = g.kh * g.kw;
   t.offsets.assign(static_cast<std::size_t>(khw) * t.row, -1);
   std::int32_t* o = t.offsets.data();
@@ -194,27 +195,21 @@ TapTable make_tap_table(const ConvGeometry& g) {
         if (iy < 0 || iy >= g.h) continue;
         for (int ox = 0; ox < g.ow; ++ox) {
           const int ix = ox * g.stride - g.pad + kx;
-          if (ix >= 0 && ix < g.w) {
-            o[oy * g.ow + ox] = iy * g.w + ix;
-            ++t.valid;
-          }
+          if (ix >= 0 && ix < g.w) o[oy * g.ow + ox] = iy * g.w + ix;
         }
       }
     }
   }
-  const int groups = t.row / 8;
-  t.live.reserve(static_cast<std::size_t>(groups) * (khw + 1));
-  for (int gi = 0; gi < groups; ++gi) {
+  t.first.reserve(static_cast<std::size_t>(ohw) + 1);
+  for (int p = 0; p < ohw; ++p) {
+    t.first.push_back(static_cast<std::int32_t>(t.valid.size()));
     for (int tap = 0; tap < khw; ++tap) {
-      const std::int32_t* lanes =
-          t.offsets.data() + static_cast<std::size_t>(tap) * t.row + gi * 8;
-      if (std::any_of(lanes, lanes + 8,
-                      [](std::int32_t v) { return v >= 0; })) {
-        t.live.push_back(tap);
-      }
+      const std::int32_t off =
+          t.offsets[static_cast<std::size_t>(tap) * t.row + p];
+      if (off >= 0) t.valid.push_back({tap, off});
     }
-    t.live.resize(static_cast<std::size_t>(gi + 1) * (khw + 1), -1);
   }
+  t.first.push_back(static_cast<std::int32_t>(t.valid.size()));
   return t;
 }
 
@@ -231,6 +226,34 @@ void depthwise_conv2d(const Tensor& input, const Tensor& weight,
   A3CS_CHECK(taps.matches(g), "depthwise tap table built for another geometry");
   backend::active().depthwise_forward(input.data(), weight.data(), bias.data(),
                                       g, taps, out.data());
+}
+
+void depthwise_conv2d_backward(const Tensor& input, const Tensor& weight,
+                               const Tensor& grad_out, const ConvGeometry& g,
+                               const TapTable& taps, Tensor& grad_in,
+                               Tensor& weight_grad, Tensor& bias_grad) {
+  const Shape in_shape = Shape::nchw(g.n, g.c, g.h, g.w);
+  A3CS_CHECK(input.shape() == in_shape && grad_in.shape() == in_shape,
+             "depthwise backward input shape mismatch");
+  A3CS_CHECK(weight.shape() == Shape::mat(g.c, g.kh * g.kw) &&
+                 weight_grad.same_shape(weight) &&
+                 bias_grad.shape() == Shape::vec(g.c),
+             "depthwise backward parameter shape mismatch");
+  A3CS_CHECK(grad_out.shape() == Shape::nchw(g.n, g.c, g.oh, g.ow),
+             "depthwise backward grad_out shape mismatch");
+  A3CS_CHECK(taps.matches(g), "depthwise tap table built for another geometry");
+  backend::active().depthwise_backward(input.data(), weight.data(),
+                                       grad_out.data(), g, taps,
+                                       grad_in.data(), weight_grad.data(),
+                                       bias_grad.data());
+}
+
+void rmsprop_step(Tensor& value, const Tensor& grad, Tensor& sq_avg, double lr,
+                  double alpha, double eps) {
+  A3CS_CHECK(grad.same_shape(value) && sq_avg.same_shape(value),
+             "rmsprop_step shape mismatch");
+  backend::active().rmsprop_step(value.data(), grad.data(), sq_avg.data(),
+                                 value.numel(), lr, alpha, eps);
 }
 
 void relu(const Tensor& x, Tensor& y) {

@@ -1,5 +1,5 @@
 // Free-function kernels on Tensors: GEMM, im2col/col2im, depthwise
-// convolution, ReLU, row softmax.
+// convolution, ReLU, row softmax, the RMSProp update.
 // These are the computational primitives the nn modules are built from.
 //
 // GEMM, im2col and col2im execute on the global util::ThreadPool with fixed
@@ -60,21 +60,26 @@ inline TapRange taps_inside(int i0, int kernel, int size) {
   return {std::max(0, -i0), std::min(kernel, size - i0)};
 }
 
-// Input offsets of every kernel tap of a convolution geometry. Row
-// ky * kw + kx holds, for each output position oy * ow + ox, the offset
-// iy * w + ix of the tap's input element within one input plane, or -1 where
-// the tap lands in the padding. Rows are `row` entries long: oh * ow rounded
-// up to a multiple of 8, the tail filled with -1. `live` lists, for each
-// group of 8 output positions, the taps valid for at least one of them,
-// ascending and ended by -1; group i's list starts at i * (kh * kw + 1).
-// Independent of the batch and channel counts, so a layer builds it once per
-// input plane size.
+// Input offsets of every kernel tap of a convolution geometry, in two
+// layouts. Row ky * kw + kx of `offsets` holds, for each output position
+// oy * ow + ox, the offset iy * w + ix of the tap's input element within one
+// input plane, or -1 where the tap lands in the padding. Rows are `row`
+// entries long: oh * ow rounded up to a multiple of 8, the tail filled with
+// -1 (im2col gathers 8 positions of one tap row at a time). `valid` lists,
+// for each output position p, its valid taps ky, then kx, ascending with
+// their input offsets: entries [first[p], first[p + 1]) (the depthwise
+// kernels walk one position's taps at a time). Independent of the batch and
+// channel counts, so a layer builds it once per input plane size.
 struct TapTable {
+  struct Tap {
+    std::int32_t tap;     // ky * kw + kx
+    std::int32_t offset;  // iy * w + ix
+  };
   int h = 0, w = 0, kh = 0, kw = 0, stride = 0, pad = 0;  // built for
   int row = 0;
   std::vector<std::int32_t> offsets;  // kh * kw rows of `row` entries
-  std::vector<std::int32_t> live;     // row / 8 lists of kh * kw + 1 entries
-  int valid = 0;  // offsets that are not -1: the valid (tap, output) pairs
+  std::vector<std::int32_t> first;    // oh * ow + 1 entries
+  std::vector<Tap> valid;             // the valid taps of each position
 
   bool matches(const ConvGeometry& g) const;
 };
@@ -98,6 +103,25 @@ void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input);
 void depthwise_conv2d(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const ConvGeometry& g,
                       const TapTable& taps, Tensor& out);
+
+// Depthwise convolution backward for the forward above. `grad_in` (N, C, H,
+// W) is fully overwritten; `weight_grad` and `bias_grad` are accumulated
+// into. An upstream gradient that compares equal to zero (+0 or -0) adds
+// nothing to grad_in or weight_grad; NaN and +-Inf ones do. Per element:
+// weight_grad(c, tap) adds go * x over n, then oy, then ox, ascending;
+// grad_in starts at +0 and adds go * w over the outputs (oy, ox) of its
+// plane ascending; bias_grad(c) adds, once per sample n, the double sum of
+// that plane's upstream gradients. Bit-exact across backends.
+void depthwise_conv2d_backward(const Tensor& input, const Tensor& weight,
+                               const Tensor& grad_out, const ConvGeometry& g,
+                               const TapTable& taps, Tensor& grad_in,
+                               Tensor& weight_grad, Tensor& bias_grad);
+
+// One RMSProp update over a parameter, in double per element:
+// sq_avg = float(alpha * sq_avg + ((1 - alpha) * g) * g), then
+// value -= float(lr * g / (sqrt(sq_avg) + eps)). Bit-exact across backends.
+void rmsprop_step(Tensor& value, const Tensor& grad, Tensor& sq_avg, double lr,
+                  double alpha, double eps);
 
 // ReLU: y = x where x >= 0 or x is -0 or NaN, +0 where x < 0.
 void relu(const Tensor& x, Tensor& y);

@@ -4,8 +4,8 @@
 // coverage for the checker utility itself (tolerance violations, NaN/Inf
 // reporting, deterministic failure messages), and layer checkers that
 // compare nn::Conv2d and nn::DepthwiseConv2d on every available backend
-// against naive float64 references (and Depthwise, whose forward is
-// bit-exact across backends, bit for bit against its naive float loop).
+// against naive float64 references (and Depthwise, whose forward and backward
+// are bit-exact across backends, bit for bit against its naive float loop).
 //
 // On hosts without AVX2+FMA the grid cases GTEST_SKIP; the checker-utility
 // and layer-checker cases always run.
@@ -644,16 +644,59 @@ void put_special_values(Tensor& x, nn::DepthwiseConv2d& dw) {
   }
 }
 
+// Puts IEEE special values into the upstream gradient planes of channel c,
+// by c % 4, against the inputs of put_special_values:
+//  0: one NaN (must reach dx and dW: NaN * -0 is NaN);
+//  1: in even samples the whole plane -0, so every window that holds the
+//     NaN input has a -0 gradient, which must be skipped like +0 (a -0
+//     times NaN product would make dW NaN; batch-1 cases see only this);
+//     odd samples keep theirs, so the NaN input still reaches dW;
+//  2: -0 at the first position, whose window holds the +Inf input, then
+//     NaN in the middle and -Inf at the last position (NaN and Inf
+//     gradients must not be skipped);
+//  3: +Inf and -Inf at the first two positions.
+void put_special_gradients(Tensor& grad_out) {
+  const int n = grad_out.shape()[0], c = grad_out.shape()[1];
+  const int ohw = grad_out.shape()[2] * grad_out.shape()[3];
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int s = 0; s < n; ++s) {
+    for (int ch = 0; ch < c; ++ch) {
+      float* plane = grad_out.data() + (std::int64_t{s} * c + ch) * ohw;
+      switch (ch % 4) {
+        case 0:
+          plane[(s * 5 + ch) % ohw] = nan;
+          break;
+        case 1:
+          if (s % 2 == 0) {
+            for (int i = 0; i < ohw; ++i) plane[i] = -0.0f;
+          }
+          break;
+        case 2:
+          plane[0] = -0.0f;
+          plane[ohw / 2] = nan;
+          plane[ohw - 1] = -inf;
+          break;
+        default:
+          plane[0] = inf;
+          plane[ohw > 1 ? 1 : 0] = -inf;
+          break;
+      }
+    }
+  }
+}
+
 TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
   // The depthwise shapes of the supernet's inverted-residual candidates:
   // mid = in_c x {1, 3, 5} for in_c 8/16/32, k3/k5, stride 1 and 2, on
   // 12x12, 6x6, 3x3 and 2x2 planes plus odd 7x7 and 5x5 ones, at batch 1
-  // (acting), 16 (rollout envs) and 80 (16 envs x rollout 5). The k5,
-  // stride 2 cases on 3x3 and 2x2 planes take the avx2 backend's scalar
-  // fallback.
-  // The cases marked `special` also carry -0, NaN and +-Inf planes
-  // (put_special_values), which pin down that padding taps are masked out
-  // rather than multiplied by zero.
+  // (acting), 16 (rollout envs) and 80 (16 envs x rollout 5). Channel
+  // counts 3, 12 and 20 leave a partial group of 8 channel lanes on the
+  // avx2 backend.
+  // The cases marked `special` also carry -0, NaN and +-Inf planes in the
+  // input (put_special_values), which pin down that padding taps are masked
+  // out rather than multiplied by zero, and in the upstream gradient
+  // (put_special_gradients), which pin down the zero-gradient skip.
   struct Case {
     int n, c, hw, k, stride;
     bool special;
@@ -667,10 +710,16 @@ TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
       {1, 24, 12, 3, 1, false},  {1, 48, 6, 5, 2, false},
       {1, 160, 3, 5, 1, false},  {1, 8, 5, 3, 2, false},
       {80, 80, 3, 5, 2, false},  {16, 32, 2, 5, 2, false},
-      {80, 24, 6, 5, 1, true},   {16, 16, 6, 3, 2, true},
-      {16, 40, 12, 5, 2, true},  {16, 32, 2, 3, 1, true},
-      {1, 48, 3, 5, 1, true},    {1, 8, 5, 3, 2, true},
-      {16, 48, 3, 5, 2, true}};
+      {16, 3, 6, 3, 1, false},   {80, 12, 6, 5, 2, false},
+      {1, 20, 6, 5, 1, false},   {80, 3, 3, 5, 1, false},
+      {16, 12, 3, 3, 2, false},  {16, 20, 3, 3, 1, false},
+      {1, 3, 2, 3, 1, false},    {16, 12, 2, 5, 2, false},
+      {80, 20, 2, 3, 1, false},  {80, 24, 6, 5, 1, true},
+      {16, 16, 6, 3, 2, true},   {16, 40, 12, 5, 2, true},
+      {16, 32, 2, 3, 1, true},   {1, 48, 3, 5, 1, true},
+      {1, 8, 5, 3, 2, true},     {16, 48, 3, 5, 2, true},
+      {16, 3, 6, 5, 1, true},    {16, 12, 3, 3, 1, true},
+      {16, 20, 2, 3, 1, true}};
   util::Rng rng(515151);
   for (const auto& cs : cases) {
     const int pad = cs.k / 2;
@@ -686,6 +735,7 @@ TEST(LayerChecker, DepthwiseConv2dBitExactToNaiveLoop) {
                     random_vec(std::int64_t{cs.n} * cs.c * g.oh * g.ow, rng));
     // Every 5th upstream gradient is exactly zero: the skip path runs.
     for (std::int64_t i = 0; i < grad_out.numel(); i += 5) grad_out[i] = 0.0f;
+    if (cs.special) put_special_gradients(grad_out);
     // Nonzero start values, so the accumulation into them is covered too.
     const Tensor grad_w0(dw.weight().value.shape(),
                          random_vec(dw.weight().value.numel(), rng));

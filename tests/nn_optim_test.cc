@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/module.h"
 #include "nn/optim.h"
+#include "tensor/backend/backend.h"
+#include "util/rng.h"
 
 namespace a3cs {
 namespace {
@@ -63,6 +70,88 @@ TEST(RmsProp, StateIsPerParameter) {
   opt.step({&p1, &p2});
   // RMS normalization: both should move by roughly lr / sqrt(1-alpha).
   EXPECT_NEAR(p1.value[0] / p2.value[0], 1.0, 1e-2);
+}
+
+// The update RmsProp::step ran per element before it moved to the kernel
+// backend. Every backend must reproduce it byte for byte.
+void rmsprop_reference(std::vector<float>& value, const std::vector<float>& grad,
+                       std::vector<float>& v, double lr, double alpha,
+                       double eps) {
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const double g = grad[i];
+    v[i] = static_cast<float>(alpha * v[i] + (1.0 - alpha) * g * g);
+    value[i] -=
+        static_cast<float>(lr * g / (std::sqrt(static_cast<double>(v[i])) +
+                                     eps));
+  }
+}
+
+// Bit for bit, except that any two NaNs match.
+bool same_bits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(RmsProp, StepBitExactToReferenceLoopOnEveryBackend) {
+  // Sizes 1-37 cover every 4-lane tail; 25603 is a supernet-sized tensor.
+  std::vector<int> sizes;
+  for (int n = 1; n <= 37; ++n) sizes.push_back(n);
+  sizes.push_back(25603);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            1e-40f,
+                            -3e-42f,
+                            std::numeric_limits<float>::denorm_min(),
+                            1e30f,
+                            -1e30f,
+                            std::numeric_limits<float>::quiet_NaN()};
+  const double alpha = 0.99, eps = 1e-5;
+  const double lrs[] = {7e-4, 3e-4, 1e-4};  // 3 steps, as a schedule
+  for (const std::string& name : tensor::backend::available_names()) {
+    ASSERT_TRUE(tensor::backend::select(name));
+    util::Rng rng(4242);
+    std::vector<std::unique_ptr<Parameter>> params;
+    std::vector<Parameter*> ptrs;
+    std::vector<std::vector<float>> ref_value, ref_v;
+    for (const int n : sizes) {
+      params.push_back(std::make_unique<Parameter>("p", Shape::vec(n)));
+      for (int i = 0; i < n; ++i) {
+        params.back()->value[i] = static_cast<float>(rng.normal());
+      }
+      ptrs.push_back(params.back().get());
+      ref_value.emplace_back(params.back()->value.data(),
+                             params.back()->value.data() + n);
+      ref_v.emplace_back(static_cast<std::size_t>(n), 0.0f);
+    }
+    nn::RmsProp opt(lrs[0], alpha, eps);
+    for (int step = 0; step < 3; ++step) {
+      opt.set_learning_rate(lrs[step]);
+      std::vector<std::vector<float>> grads;
+      for (Parameter* p : ptrs) {
+        std::vector<float> g(static_cast<std::size_t>(p->grad.numel()));
+        for (std::size_t i = 0; i < g.size(); ++i) {
+          g[i] = rng.bernoulli(0.25)
+                     ? specials[rng.uniform_int(8)]
+                     : static_cast<float>(rng.normal(0.0, 0.5));
+        }
+        std::memcpy(p->grad.data(), g.data(), g.size() * sizeof(float));
+        grads.push_back(std::move(g));
+      }
+      opt.step(ptrs);
+      for (std::size_t k = 0; k < ptrs.size(); ++k) {
+        rmsprop_reference(ref_value[k], grads[k], ref_v[k], lrs[step], alpha,
+                          eps);
+        for (std::size_t i = 0; i < ref_value[k].size(); ++i) {
+          const float actual = ptrs[k]->value[static_cast<std::int64_t>(i)];
+          ASSERT_TRUE(same_bits(actual, ref_value[k][i]))
+              << name << " step " << step << " size " << ref_value[k].size()
+              << " element " << i << ": " << actual << " vs "
+              << ref_value[k][i];
+        }
+      }
+    }
+  }
+  tensor::backend::select("scalar");
 }
 
 // ----------------------------------------------------------------- Adam ---
