@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "obs/perf/bench.h"
-
 namespace a3cs::bench {
 
 rl::A2cConfig bench_a2c(const rl::LossCoefficients& coef,
@@ -62,7 +60,7 @@ void banner(const std::string& experiment, const std::string& description) {
   // Strict env validation: a typo'd A3CS_SCALE=0 or A3CS_EVAL_EPISODES=ten
   // must abort loudly before hours of benching, not silently fall back to
   // the defaults.
-  const std::vector<std::string> env_errors = obs::perf::validate_bench_env();
+  const std::vector<std::string> env_errors = util::validate_bench_env();
   if (!env_errors.empty()) {
     for (const std::string& err : env_errors) {
       std::cerr << "bench env error: " << err << "\n";

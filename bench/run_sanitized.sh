@@ -1,26 +1,25 @@
 #!/usr/bin/env sh
-# Build a slice of the test binaries under a sanitizer and run them.
+# Build the whole tree under a sanitizer and run a slice of the tests.
 #
 #   bench/run_sanitized.sh              # address+undefined (default)
 #   A3CS_SANITIZE=thread bench/run_sanitized.sh
 #   A3CS_SANITIZE=undefined bench/run_sanitized.sh   # UBSan-only, numeric slice
 #
 # Every pass starts with the a3cs-lint stage (see docs/STATIC_ANALYSIS.md) so
-# invariant violations fail fast before any sanitizer compile, and builds with
-# -DA3CS_WERROR=ON so warnings fail too.
+# invariant violations fail fast before any sanitizer compile, then builds
+# every target with -DA3CS_WERROR=ON so a warning anywhere in the tree fails.
 #
 # The default ASan/UBSan pass covers the util + obs layers (atomic metrics,
 # the shared trace writer, the profiler's thread-local cursors), the
 # checkpoint subsystem (sectioned container parsing of adversarial bytes,
 # the full save/restore round-trip) and the training-health guard (fault
-# injection, rollback recovery), the perf observability layer (bench
-# registry, BENCH_*.json diffing, Chrome trace export — perf_test), the
-# fleet supervisor (protocol/frontier units plus the kill/hang/corrupt
-# resume e2e suite — fleet_test, fleet_resume_test), and finishes with an
-# end-to-end fault-injection smoke of cosearch_full --guard=heal, a fleet
-# kill-one smoke (cosearch_fleet under A3CS_FLEET_KILL), plus a perf smoke
-# (bench_kernels in smoke mode, self-diffed through bench_report --check
-# and --chrome-check). The TSan pass
+# injection, rollback recovery), the perf observability layer (Chrome trace
+# export and work counters, including the end-to-end cosearch_full trace
+# check — perf_test), the fleet supervisor (protocol/frontier units plus the
+# kill/hang/corrupt resume e2e suite — fleet_test, fleet_resume_test), and
+# finishes with an end-to-end fault-injection smoke of cosearch_full
+# --guard=heal and a fleet kill-one smoke (cosearch_fleet under
+# A3CS_FLEET_KILL). The TSan pass
 # instead targets the parallel execution layer: the thread pool itself plus
 # every kernel and subsystem that dispatches onto it (GEMM/im2col, VecEnv
 # stepping, the top-K NAS backward, the DAS predictor sweep) and the guard's
@@ -30,16 +29,15 @@
 # NAS/DAS/accel math — where signed overflow and bad float casts would hide.
 #
 # Every pass finishes with a kernel-backend stage: the numeric tier-1 slice
-# reruns under each backend the host supports (probed via `bench_kernels
-# --backends`), scalar and avx2, so both get the same sanitizer coverage
-# whatever the default (auto) resolved to above; hosts without AVX2/FMA
-# rerun scalar only.
+# reruns under A3CS_BACKEND=scalar and =auto (avx2 on AVX2+FMA hosts), so
+# the scalar reference and the SIMD kernels get the same sanitizer coverage;
+# on hosts without AVX2/FMA both runs exercise scalar.
 set -eu
 
 SAN="${A3CS_SANITIZE:-address}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build-san-$SAN"
-SMOKE=""
+SMOKE=0
 
 if [ "$SAN" = "thread" ]; then
   TESTS="thread_pool_test tensor_test arcade_test determinism_test guard_test das_test"
@@ -54,7 +52,7 @@ elif [ "$SAN" = "undefined" ]; then
 else
   TESTS="util_test obs_test thread_pool_test ckpt_test io_test guard_test guard_recovery_test perf_test fleet_test fleet_resume_test"
   GUARD_FILTER=""
-  SMOKE="cosearch_full cosearch_fleet bench_kernels bench_report"
+  SMOKE=1
 fi
 
 cmake -B "$BUILD" -S "$ROOT" -DA3CS_SANITIZE="$SAN" -DA3CS_WERROR=ON >/dev/null
@@ -70,8 +68,7 @@ echo "== a3cs_lint --graph-only =="
 echo "== a3cs_lint =="
 "$BUILD/tools/a3cs_lint/a3cs_lint" --repo-root "$ROOT"
 
-# shellcheck disable=SC2086
-cmake --build "$BUILD" -j "$(nproc)" --target $TESTS $SMOKE
+cmake --build "$BUILD" -j "$(nproc)"
 
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
@@ -90,7 +87,7 @@ done
 # into a tiny real pipeline run and require the heal-mode guard to finish it
 # via checkpoint rollback (an abort would crash out non-zero). See
 # docs/ROBUSTNESS.md.
-if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
+if [ "$SMOKE" -eq 1 ] && [ "$status" -eq 0 ]; then
   echo "== guard fault-injection smoke ($SAN) =="
   CKPT_DIR="$(mktemp -d "${TMPDIR:-/tmp}/a3cs_guard_smoke.XXXXXX")"
   A3CS_SCALE="${A3CS_SCALE:-0.05}" \
@@ -101,30 +98,11 @@ if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
   rm -rf "$CKPT_DIR"
 fi
 
-# Perf observability smoke (ASan pass only): run the kernel bench suite in
-# smoke mode with a Chrome trace, self-diff its JSON artifact through
-# bench_report --check (must be all-ok) and validate the trace with
-# --chrome-check. See docs/BENCHMARKING.md.
-if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
-  echo "== perf observability smoke ($SAN) =="
-  PERF_DIR="$(mktemp -d "${TMPDIR:-/tmp}/a3cs_perf_smoke.XXXXXX")"
-  A3CS_BENCH_SMOKE=1 A3CS_PROFILE_CHROME="$PERF_DIR/trace.json" \
-    "$BUILD/bench/bench_kernels" --json "$PERF_DIR/kernels.json" || status=$?
-  if [ "$status" -eq 0 ]; then
-    "$BUILD/tools/bench_report/bench_report" --check \
-      --baseline "$PERF_DIR/kernels.json" \
-      --current "$PERF_DIR/kernels.json" || status=$?
-    "$BUILD/tools/bench_report/bench_report" \
-      --chrome-check "$PERF_DIR/trace.json" || status=$?
-  fi
-  rm -rf "$PERF_DIR"
-fi
-
 # Fleet kill-one smoke (ASan pass only): run a 2-worker fleet, kill worker 0
 # at iteration 3 via the deterministic fault injector, and require the
 # supervisor to restart it from its checkpoint ring and finish the whole run
 # with exit 0 and a non-empty merged frontier (docs/FLEET.md).
-if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
+if [ "$SMOKE" -eq 1 ] && [ "$status" -eq 0 ]; then
   echo "== fleet kill-one smoke ($SAN) =="
   FLEET_DIR="$(mktemp -d "${TMPDIR:-/tmp}/a3cs_fleet_smoke.XXXXXX")"
   A3CS_FLEET_KILL=0@3 \
@@ -137,15 +115,11 @@ if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
   rm -rf "$FLEET_DIR"
 fi
 
-# Kernel-backend stage: rerun the numeric tier-1 slice under every backend
-# the host supports, so the scalar reference and the per-TU SIMD kernels
-# (src/tensor/backend/kernels_avx2.cc) both see the sanitizer. Probe the
-# host first — bench_kernels --backends prints one usable backend per line.
+# Kernel-backend stage: rerun the numeric tier-1 slice under the scalar
+# reference and the default backend, so the per-TU SIMD kernels
+# (src/tensor/backend/kernels_avx2.cc) see the sanitizer too.
 if [ "$status" -eq 0 ]; then
-  cmake --build "$BUILD" -j "$(nproc)" --target bench_kernels \
-    tensor_test nn_layers_test nn_optim_test determinism_test \
-    backend_check_test >/dev/null
-  for b in $("$BUILD/bench/bench_kernels" --backends); do
+  for b in scalar auto; do
     for t in tensor_test nn_layers_test nn_optim_test determinism_test \
       backend_check_test; do
       echo "== $t ($SAN, A3CS_BACKEND=$b) =="

@@ -41,7 +41,6 @@ RunMeta collect_run_meta() {
   meta.host = host_fingerprint();
   meta.threads = util::ThreadPool::global().threads();
   meta.scale = util::bench_scale();
-  meta.smoke = util::env_int("A3CS_BENCH_SMOKE", 0) != 0;
   meta.wall_time = util::iso8601_now();
   return meta;
 }
@@ -54,7 +53,6 @@ std::string render_meta_json(const RunMeta& meta) {
   out += ",\"threads\":" + std::to_string(meta.threads);
   out += ",\"scale\":";
   TraceWriter::append_json_number(out, meta.scale);
-  out += meta.smoke ? ",\"smoke\":true" : ",\"smoke\":false";
   out += ",\"wall_time\":";
   TraceWriter::append_json_string(out, meta.wall_time);
   out += "}";

@@ -1,8 +1,8 @@
-// Provenance metadata stamped into every perf artifact (BENCH_*.json, Chrome
-// traces): git SHA, host fingerprint, thread count, A3CS_SCALE, wall-clock
-// time. This is the ONE place wall-clock values are allowed to appear in perf
-// output — every content field outside the metadata block must be
-// deterministic (docs/BENCHMARKING.md).
+// Provenance metadata stamped into the Chrome trace's otherData block: git
+// SHA, host fingerprint, thread count, A3CS_SCALE, wall-clock time. This is
+// the ONE place wall-clock values are allowed to appear in perf output — every
+// event outside the metadata block is timed on steady_clock
+// (docs/BENCHMARKING.md).
 #pragma once
 
 #include <string>
@@ -14,7 +14,6 @@ struct RunMeta {
   std::string host;       // "<nodename>/<machine>/<hw_concurrency>c"
   int threads = 1;        // resolved global ThreadPool size
   double scale = 1.0;     // util::bench_scale()
-  bool smoke = false;     // A3CS_BENCH_SMOKE=1 minimum-scale run
   std::string wall_time;  // ISO-8601, stamped at collection time
 };
 

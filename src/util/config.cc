@@ -2,8 +2,42 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <utility>
 
 namespace a3cs::util {
+
+namespace {
+
+// Parses env var `name` strictly: returns an error string when it is set but
+// not a full valid number (or violates the positivity requirement).
+std::string strict_env_error(const char* name, bool integer,
+                             bool require_positive) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || raw[0] == '\0') return "";
+  const std::string text(raw);
+  std::size_t consumed = 0;
+  double value = 0.0;
+  try {
+    if (integer) {
+      value = static_cast<double>(std::stoll(text, &consumed));
+    } else {
+      value = std::stod(text, &consumed);
+    }
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed != text.size()) {
+    return std::string(name) + "=\"" + text + "\" is not a valid " +
+           (integer ? "integer" : "number");
+  }
+  if (require_positive && value <= 0.0) {
+    return std::string(name) + "=\"" + text + "\" must be > 0";
+  }
+  return "";
+}
+
+}  // namespace
 
 double bench_scale() {
   static const double scale = [] {
@@ -11,6 +45,23 @@ double bench_scale() {
     return std::clamp(v, 1e-3, 1e3);
   }();
   return scale;
+}
+
+std::vector<std::string> validate_bench_env() {
+  struct Check {
+    const char* name;
+    bool integer;
+    bool require_positive;
+  };
+  const Check checks[] = {{"A3CS_SCALE", false, true},
+                          {"A3CS_EVAL_EPISODES", true, true},
+                          {"A3CS_THREADS", true, false}};
+  std::vector<std::string> errors;
+  for (const Check& c : checks) {
+    std::string err = strict_env_error(c.name, c.integer, c.require_positive);
+    if (!err.empty()) errors.push_back(std::move(err));
+  }
+  return errors;
 }
 
 std::int64_t scaled_steps(std::int64_t steps, std::int64_t min_steps) {

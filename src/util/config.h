@@ -7,11 +7,19 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace a3cs::util {
 
 // Value of A3CS_SCALE, clamped to [1e-3, 1e3]; 1.0 when unset/invalid.
 double bench_scale();
+
+// Strict check of the bench-relevant environment variables (A3CS_SCALE,
+// A3CS_EVAL_EPISODES, A3CS_THREADS): a value that is set but malformed or out
+// of range yields one human-readable error each. Empty result = all valid.
+// bench_scale() and env_int() fall back silently, so the paper benches call
+// this first and refuse to start on a typo.
+std::vector<std::string> validate_bench_env();
 
 // steps * bench_scale(), at least `min_steps`.
 std::int64_t scaled_steps(std::int64_t steps, std::int64_t min_steps = 64);

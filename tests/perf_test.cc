@@ -1,10 +1,8 @@
-// Tests for the performance observability subsystem (src/obs/perf/):
-// benchmark registry determinism under an injected fake clock, BENCH_*.json
-// schema round-trips, the regression-diff verdicts behind tools/bench_report
-// (including the real binary's exit codes), Chrome trace_events export
-// well-formedness, per-kernel work counters, and the histogram reservoir's
-// exact small-sample quantiles. The end-to-end case drives the real
-// cosearch_full binary with A3CS_PROFILE_CHROME and schema-checks its trace,
+// Tests for the performance observability subsystem (src/obs/perf/): Chrome
+// trace_events export well-formedness, per-kernel work counters, and the
+// histogram reservoir's exact small-sample quantiles. The end-to-end case
+// drives the real cosearch_full binary with A3CS_PROFILE_CHROME and checks
+// its trace (balanced scopes, provenance metadata, work annotations),
 // mirroring how ckpt_resume_test drives ckpt_run.
 #include <gtest/gtest.h>
 
@@ -19,10 +17,7 @@
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
-#include "obs/perf/bench.h"
-#include "obs/perf/bench_json.h"
 #include "obs/perf/chrome_trace.h"
-#include "obs/perf/run_meta.h"
 #include "obs/perf/work_counters.h"
 #include "obs/profile.h"
 #include "tensor/ops.h"
@@ -31,10 +26,6 @@
 namespace a3cs {
 namespace {
 
-using obs::perf::BenchDoc;
-using obs::perf::BenchResult;
-using obs::perf::BenchSuite;
-using obs::perf::DiffRow;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -63,366 +54,52 @@ int run_command(const std::string& cmd) {
   return WEXITSTATUS(status);
 }
 
-// ------------------------------------------------------------ fake clock ----
-
-// Advances 1ms per reading, so every measured sample is exactly 1.0 ms and
-// registry output is a pure function of the sampling policy.
-constexpr std::int64_t kFakeStepNs = 1'000'000;
-std::int64_t g_fake_ns = 0;
-
-std::int64_t fake_clock() {
-  g_fake_ns += kFakeStepNs;
-  return g_fake_ns;
-}
-
-// Installs the fake clock for one scope; restores steady_clock on exit.
-class FakeClockScope {
- public:
-  FakeClockScope() {
-    g_fake_ns = 0;
-    BenchSuite::set_clock_for_test(&fake_clock);
-  }
-  ~FakeClockScope() { BenchSuite::set_clock_for_test(nullptr); }
-};
-
-// Registered bodies for a local (non-global) suite. Fixed budget so repeats
-// do not depend on the host.
-void fixed_budget_bench(obs::perf::Bench& b) {
-  obs::perf::BenchBudget budget;
-  budget.warmup = 0;
-  budget.min_repeats = 4;
-  budget.max_repeats = 4;
-  budget.min_total_ms = 0.0;
-  b.config("unit").work(100, 200).items(10.0, "it/s").budget(budget).run(
-      [] {});
-}
-
-// Two configs staged in reverse order: run_all must sort results.
-void two_config_bench(obs::perf::Bench& b) {
-  obs::perf::BenchBudget budget;
-  budget.warmup = 0;
-  budget.min_repeats = 1;
-  budget.max_repeats = 1;
-  budget.min_total_ms = 0.0;
-  b.config("zeta").budget(budget).run([] {});
-  b.config("alpha").budget(budget).run([] {});
-}
-
-obs::perf::RunMeta fixed_meta() {
-  obs::perf::RunMeta meta;
-  meta.git_sha = "deadbeef0000";
-  meta.host = "testhost/x86_64/1c";
-  meta.threads = 1;
-  meta.scale = 1.0;
-  meta.smoke = false;
-  meta.wall_time = "2026-01-01T00:00:00.000";
-  return meta;
-}
-
-BenchResult make_result(const std::string& name, const std::string& config,
-                        int threads, double median_ms) {
-  BenchResult r;
-  r.name = name;
-  r.config = config;
-  r.threads = threads;
-  r.repeats = 5;
-  r.median_ms = median_ms;
-  r.p10_ms = median_ms * 0.9;
-  r.p90_ms = median_ms * 1.1;
-  r.mean_ms = median_ms;
-  r.steady = true;
-  return r;
-}
-
-// ---------------------------------------------------------- bench registry --
-
-TEST(BenchRegistry, DeterministicUnderFakeClock) {
-  FakeClockScope clock;
-  BenchSuite suite;
-  suite.add("fixed", &fixed_budget_bench);
-
-  const std::vector<BenchResult> results = suite.run_all();
-  ASSERT_EQ(results.size(), 1u);
-  const BenchResult& r = results[0];
-  EXPECT_EQ(r.name, "fixed");
-  EXPECT_EQ(r.config, "unit");
-  EXPECT_EQ(r.repeats, 4);
-  EXPECT_DOUBLE_EQ(r.median_ms, 1.0);
-  EXPECT_DOUBLE_EQ(r.p10_ms, 1.0);
-  EXPECT_DOUBLE_EQ(r.p90_ms, 1.0);
-  EXPECT_TRUE(r.steady);
-  // 10 items / 1ms median = 10k items/s.
-  EXPECT_DOUBLE_EQ(r.throughput, 10'000.0);
-  EXPECT_EQ(r.throughput_unit, "it/s");
-  EXPECT_EQ(r.flops, 100);
-  EXPECT_EQ(r.bytes, 200);
-
-  // Same suite, same clock schedule => byte-identical document.
-  BenchDoc doc1;
-  doc1.suite = "fake";
-  doc1.meta = fixed_meta();
-  doc1.results = results;
-
-  g_fake_ns = 0;
-  BenchDoc doc2 = doc1;
-  doc2.results = suite.run_all();
-  EXPECT_EQ(obs::perf::render_bench_json(doc1),
-            obs::perf::render_bench_json(doc2));
-}
-
-TEST(BenchRegistry, ResultsSortedByNameConfigThreads) {
-  FakeClockScope clock;
-  BenchSuite suite;
-  // Registered out of name order on purpose.
-  suite.add("zz_fixed", &fixed_budget_bench);
-  suite.add("aa_two", &two_config_bench);
-
-  const std::vector<BenchResult> results = suite.run_all();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].name, "aa_two");
-  EXPECT_EQ(results[0].config, "alpha");
-  EXPECT_EQ(results[1].config, "zeta");
-  EXPECT_EQ(results[2].name, "zz_fixed");
-}
-
-TEST(BenchRegistry, FilterSelectsBySubstring) {
-  FakeClockScope clock;
-  BenchSuite suite;
-  suite.add("gemm", &fixed_budget_bench);
-  suite.add("im2col", &fixed_budget_bench);
-  const std::vector<BenchResult> results = suite.run_all("gem");
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].name, "gemm");
-}
-
-TEST(BenchRegistry, ExactQuantileInterpolates) {
-  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(obs::perf::exact_quantile(sorted, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(obs::perf::exact_quantile(sorted, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(obs::perf::exact_quantile(sorted, 0.5), 2.5);
-  // pos = 0.1 * 3 = 0.3 -> 1.0 + 0.3 * (2.0 - 1.0).
-  EXPECT_DOUBLE_EQ(obs::perf::exact_quantile(sorted, 0.1), 1.3);
-  EXPECT_DOUBLE_EQ(obs::perf::exact_quantile({7.5}, 0.9), 7.5);
-  EXPECT_DOUBLE_EQ(obs::perf::exact_quantile({}, 0.5), 0.0);
-}
-
-// ------------------------------------------------------- bench env checks ---
-
-TEST(BenchEnv, StrictValidation) {
-  ASSERT_TRUE(obs::perf::validate_bench_env().empty());
-
-  setenv("A3CS_SCALE", "abc", 1);
-  auto errors = obs::perf::validate_bench_env();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("A3CS_SCALE"), std::string::npos);
-
-  setenv("A3CS_SCALE", "0", 1);
-  errors = obs::perf::validate_bench_env();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("must be > 0"), std::string::npos);
-
-  // Trailing garbage must not silently truncate.
-  setenv("A3CS_SCALE", "0.5x", 1);
-  EXPECT_EQ(obs::perf::validate_bench_env().size(), 1u);
-
-  setenv("A3CS_SCALE", "0.5", 1);
-  setenv("A3CS_EVAL_EPISODES", "-3", 1);
-  errors = obs::perf::validate_bench_env();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("A3CS_EVAL_EPISODES"), std::string::npos);
-
-  setenv("A3CS_EVAL_EPISODES", "2", 1);
-  EXPECT_TRUE(obs::perf::validate_bench_env().empty());
-
-  unsetenv("A3CS_SCALE");
-  unsetenv("A3CS_EVAL_EPISODES");
-}
-
-// ------------------------------------------------------------ JSON schema ---
-
-TEST(BenchJson, RenderParseRoundTripIsByteStable) {
-  BenchDoc doc;
-  doc.suite = "kernels";
-  doc.meta = fixed_meta();
-  doc.results = {make_result("gemm", "256x256x256", 1, 33.5),
-                 make_result("gemm", "256x256x256", 4, 11.25),
-                 make_result("im2col", "16x32x28x28_k3", 1, 2.0)};
-  doc.results[0].flops = 33'554'432;
-  doc.results[0].bytes = 786'432;
-  doc.results[0].throughput = 29.85;
-  doc.results[0].throughput_unit = "calls/s";
-
-  const std::string rendered = obs::perf::render_bench_json(doc);
-  const BenchDoc parsed =
-      obs::perf::parse_bench_doc(obs::JsonValue::parse(rendered));
-  EXPECT_EQ(parsed.suite, "kernels");
-  EXPECT_EQ(parsed.meta.git_sha, "deadbeef0000");
-  ASSERT_EQ(parsed.results.size(), 3u);
-  EXPECT_EQ(parsed.results[0].flops, 33'554'432);
-  EXPECT_EQ(obs::perf::render_bench_json(parsed), rendered);
-}
-
-TEST(BenchJson, StrictParserRejectsSchemaViolations) {
-  BenchDoc doc;
-  doc.suite = "kernels";
-  doc.meta = fixed_meta();
-  doc.results = {make_result("gemm", "", 1, 1.0)};
-  const std::string good = obs::perf::render_bench_json(doc);
-
-  // Future schema version: refuse instead of diffing garbage.
-  std::string bumped = good;
-  const std::string version_key = "\"schema_version\":1";
-  bumped.replace(bumped.find(version_key), version_key.size(),
-                 "\"schema_version\":99");
-  EXPECT_THROW(obs::perf::parse_bench_doc(obs::JsonValue::parse(bumped)),
-               std::runtime_error);
-
-  // Missing required result field.
-  std::string no_median = good;
-  const std::string median_key = "\"median_ms\"";
-  no_median.replace(no_median.find(median_key), median_key.size(),
-                    "\"median_renamed\"");
-  EXPECT_THROW(obs::perf::parse_bench_doc(obs::JsonValue::parse(no_median)),
-               std::runtime_error);
-
-  // Missing meta block entirely.
-  EXPECT_THROW(obs::perf::parse_bench_doc(obs::JsonValue::parse(
-                   "{\"schema_version\":1,\"suite\":\"x\",\"results\":[]}")),
-               std::runtime_error);
-}
-
-TEST(BenchJson, FileRoundTripAndMissingFileThrows) {
-  TempFile tmp("/perf_bench_doc.json");
-  BenchDoc doc;
-  doc.suite = "predictor";
-  doc.meta = fixed_meta();
-  doc.results = {make_result("das_step", "samples1", 1, 4.0)};
-  obs::perf::write_bench_file(tmp.path(), doc);
-  const BenchDoc parsed = obs::perf::parse_bench_file(tmp.path());
-  EXPECT_EQ(parsed.results[0].name, "das_step");
-  EXPECT_THROW(obs::perf::parse_bench_file(tmp.path() + ".nope"),
-               std::runtime_error);
-}
-
-// -------------------------------------------------------- regression diff ---
-
-TEST(BenchDiff, VerdictsAndGate) {
-  BenchDoc baseline;
-  baseline.suite = "kernels";
-  baseline.meta = fixed_meta();
-  baseline.results = {make_result("flat", "", 1, 10.0),
-                      make_result("slower", "", 1, 10.0),
-                      make_result("faster", "", 1, 20.0),
-                      make_result("dropped", "", 1, 5.0)};
-  BenchDoc current = baseline;
-  current.results = {make_result("flat", "", 1, 11.0),
-                     make_result("slower", "", 1, 20.0),
-                     make_result("faster", "", 1, 10.0),
-                     make_result("added", "", 1, 5.0)};
-
-  const std::vector<DiffRow> rows =
-      obs::perf::diff_baselines(baseline, current, 25.0);
-  ASSERT_EQ(rows.size(), 5u);  // union of keys, sorted
-  EXPECT_EQ(rows[0].key, "added//t1");
-  EXPECT_EQ(rows[0].verdict, DiffRow::Verdict::kNew);
-  EXPECT_EQ(rows[1].key, "dropped//t1");
-  EXPECT_EQ(rows[1].verdict, DiffRow::Verdict::kMissing);
-  EXPECT_EQ(rows[2].key, "faster//t1");
-  EXPECT_EQ(rows[2].verdict, DiffRow::Verdict::kImproved);
-  EXPECT_EQ(rows[3].key, "flat//t1");
-  EXPECT_EQ(rows[3].verdict, DiffRow::Verdict::kOk);
-  EXPECT_DOUBLE_EQ(rows[3].delta_pct, 10.0);
-  EXPECT_EQ(rows[4].key, "slower//t1");
-  EXPECT_EQ(rows[4].verdict, DiffRow::Verdict::kRegressed);
-  EXPECT_DOUBLE_EQ(rows[4].delta_pct, 100.0);
-
-  EXPECT_TRUE(obs::perf::diff_has_failure(rows));
-  // A dropped bench is only tolerated when the caller opts out.
-  const std::vector<DiffRow> no_regress = {rows[0], rows[1], rows[2],
-                                           rows[3]};
-  EXPECT_TRUE(obs::perf::diff_has_failure(no_regress));
-  EXPECT_FALSE(
-      obs::perf::diff_has_failure(no_regress, /*missing_fails=*/false));
-  const std::vector<DiffRow> clean = {rows[0], rows[2], rows[3]};
-  EXPECT_FALSE(obs::perf::diff_has_failure(clean));
-}
-
-// Exit-code contract of the real bench_report binary.
-TEST(BenchReportBinary, ExitCodes) {
-  TempFile base("/perf_report_base.json");
-  TempFile regressed("/perf_report_regressed.json");
-  TempFile other_suite("/perf_report_other.json");
-
-  BenchDoc doc;
-  doc.suite = "kernels";
-  doc.meta = fixed_meta();
-  doc.results = {make_result("gemm", "s", 1, 10.0)};
-  obs::perf::write_bench_file(base.path(), doc);
-
-  BenchDoc slow = doc;
-  slow.results[0].median_ms = 100.0;
-  obs::perf::write_bench_file(regressed.path(), slow);
-
-  BenchDoc other = doc;
-  other.suite = "predictor";
-  obs::perf::write_bench_file(other_suite.path(), other);
-
-  const std::string bin = A3CS_BENCH_REPORT_BIN;
-  const std::string quiet = " > /dev/null 2>&1";
-  EXPECT_EQ(run_command(bin + " --check --baseline " + base.path() +
-                        " --current " + base.path() + quiet),
-            0);
-  EXPECT_EQ(run_command(bin + " --check --baseline " + base.path() +
-                        " --current " + regressed.path() + quiet),
-            1);
-  // Without --check a regression still reports but does not gate.
-  EXPECT_EQ(run_command(bin + " --baseline " + base.path() + " --current " +
-                        regressed.path() + quiet),
-            0);
-  // A generous threshold lets the same pair pass.
-  EXPECT_EQ(run_command(bin + " --check --max-regress 10000 --baseline " +
-                        base.path() + " --current " + regressed.path() +
-                        quiet),
-            0);
-  EXPECT_EQ(run_command(bin + " --check --baseline " + base.path() +
-                        " --current " + other_suite.path() + quiet),
-            2);
-  EXPECT_EQ(run_command(bin + " --check --baseline " + base.path() +
-                        ".nope --current " + base.path() + quiet),
-            3);
-  EXPECT_EQ(run_command(bin + " --bogus-flag" + quiet), 2);
-}
-
 // ------------------------------------------------------------ chrome trace --
 
-// Walks traceEvents and checks per-(pid,tid) B/E balance; returns the E
-// event count.
-int check_balanced(const obs::JsonValue& root) {
-  const obs::JsonValue* events = root.find("traceEvents");
-  EXPECT_NE(events, nullptr);
-  std::map<std::string, std::vector<std::string>> open;
-  int closed = 0;
-  for (const obs::JsonValue& ev : events->as_array()) {
+// Per-(pid,tid) stacks of open scopes: every E event must close the
+// innermost B of its lane, by name, and no B may stay open.
+class LaneStacks {
+ public:
+  // Applies one trace event; non-duration phases are ignored.
+  void apply(const obs::JsonValue& ev) {
     const std::string ph = ev.string_or("ph", "");
-    if (ph != "B" && ph != "E") continue;
+    if (ph != "B" && ph != "E") return;
     const std::string lane =
         std::to_string(static_cast<int>(ev.number_or("pid", 0))) + "/" +
         std::to_string(static_cast<int>(ev.number_or("tid", 0)));
+    std::vector<std::string>& stack = open_[lane];
     if (ph == "B") {
-      open[lane].push_back(ev.string_or("name", ""));
-      continue;
+      stack.push_back(ev.string_or("name", ""));
+      return;
     }
-    EXPECT_FALSE(open[lane].empty()) << "unbalanced E on lane " << lane;
-    if (!open[lane].empty()) {
-      EXPECT_EQ(open[lane].back(), ev.string_or("name", ""));
-      open[lane].pop_back();
-      ++closed;
+    EXPECT_FALSE(stack.empty()) << "unbalanced E on lane " << lane;
+    if (stack.empty()) return;
+    EXPECT_EQ(stack.back(), ev.string_or("name", ""));
+    stack.pop_back();
+    ++closed_;
+  }
+
+  // Expects every lane closed; returns the number of matched B/E pairs.
+  std::int64_t finish() const {
+    for (const auto& [lane, stack] : open_) {
+      EXPECT_TRUE(stack.empty()) << "unclosed B on lane " << lane;
     }
+    return closed_;
   }
-  for (const auto& [lane, stack] : open) {
-    EXPECT_TRUE(stack.empty()) << "unclosed B on lane " << lane;
-  }
-  return closed;
+
+ private:
+  std::map<std::string, std::vector<std::string>> open_;
+  std::int64_t closed_ = 0;
+};
+
+// Walks traceEvents and checks per-(pid,tid) B/E balance; returns the E
+// event count.
+std::int64_t check_balanced(const obs::JsonValue& root) {
+  const obs::JsonValue* events = root.find("traceEvents");
+  EXPECT_NE(events, nullptr);
+  LaneStacks lanes;
+  for (const obs::JsonValue& ev : events->as_array()) lanes.apply(ev);
+  return lanes.finish();
 }
 
 TEST(ChromeTrace, BalancedEventsWithWorkAnnotations) {
@@ -542,9 +219,9 @@ TEST(MetricsHistogram, SnapshotCarriesQuantiles) {
 // ------------------------------------------------- cosearch_full e2e ----
 
 // Drives the real pipeline binary with A3CS_PROFILE_CHROME and checks that
-// the emitted trace is valid trace_events JSON with balanced scopes and
-// work-annotated GEMM events — the acceptance contract of the Chrome
-// exporter. Scale 0.001 keeps the run to a few seconds.
+// the emitted trace carries its provenance metadata (git SHA, host), has
+// per-(pid,tid) balanced scopes and work-annotated GEMM events — the
+// acceptance contract of the Chrome exporter. Scale 0.001 keeps the run to a few seconds.
 TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
   TempFile trace("/perf_cosearch_trace.json");
   const std::string cmd = std::string("A3CS_SCALE=0.001 A3CS_PROFILE_CHROME=") +
@@ -552,32 +229,34 @@ TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
                           " > /dev/null 2>&1";
   ASSERT_EQ(run_command(cmd), 0);
 
-  // The full-file balance/metadata check through the real tool.
-  const std::string check_cmd = std::string(A3CS_BENCH_REPORT_BIN) +
-                                " --chrome-check " + trace.path() +
-                                " > /dev/null 2>&1";
-  EXPECT_EQ(run_command(check_cmd), 0);
-
   // The trace is large (hundreds of thousands of events), so scan it
-  // line-by-line — the writer emits one event per line — instead of parsing
-  // the whole document in-process.
+  // line-by-line — the writer puts the otherData header on the first line
+  // and one event per line after it — instead of parsing the whole document
+  // in-process.
   std::ifstream in(trace.path());
   ASSERT_TRUE(in.is_open());
   std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const obs::JsonValue header = obs::JsonValue::parse(line + "]}");
+  const obs::JsonValue* meta = header.find("otherData");
+  ASSERT_NE(meta, nullptr) << "no otherData metadata in " << trace.path();
+  EXPECT_FALSE(meta->string_or("git_sha", "").empty());
+  EXPECT_FALSE(meta->string_or("host", "").empty());
+
+  LaneStacks lanes;
   bool gemm_annotated = false;
-  std::int64_t events = 0;
   while (std::getline(in, line)) {
-    if (line.find("\"ph\":\"B\"") != std::string::npos ||
-        line.find("\"ph\":\"E\"") != std::string::npos) {
-      ++events;
-    }
-    if (line.find("\"name\":\"gemm\"") != std::string::npos &&
-        line.find("\"ph\":\"E\"") != std::string::npos &&
-        line.find("\"flops\":") != std::string::npos) {
+    if (line.empty() || line == "]}") continue;
+    if (line.back() == ',') line.pop_back();
+    const obs::JsonValue ev = obs::JsonValue::parse(line);
+    lanes.apply(ev);
+    const obs::JsonValue* args = ev.find("args");
+    if (ev.string_or("name", "") == "gemm" && ev.string_or("ph", "") == "E" &&
+        args != nullptr && args->find("flops") != nullptr) {
       gemm_annotated = true;
     }
   }
-  EXPECT_GT(events, 100);
+  EXPECT_GT(lanes.finish(), 50);
   EXPECT_TRUE(gemm_annotated)
       << "no GEMM E event with flops annotation in " << trace.path();
 }

@@ -274,6 +274,36 @@ TEST(Config, ScaledStepsRespectsMinimum) {
   EXPECT_GE(util::scaled_steps(1, 64), 64);
 }
 
+TEST(BenchEnv, StrictValidation) {
+  ASSERT_TRUE(util::validate_bench_env().empty());
+
+  setenv("A3CS_SCALE", "abc", 1);
+  auto errors = util::validate_bench_env();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("A3CS_SCALE"), std::string::npos);
+
+  setenv("A3CS_SCALE", "0", 1);
+  errors = util::validate_bench_env();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("must be > 0"), std::string::npos);
+
+  // Trailing garbage must not silently truncate.
+  setenv("A3CS_SCALE", "0.5x", 1);
+  EXPECT_EQ(util::validate_bench_env().size(), 1u);
+
+  setenv("A3CS_SCALE", "0.5", 1);
+  setenv("A3CS_EVAL_EPISODES", "-3", 1);
+  errors = util::validate_bench_env();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("A3CS_EVAL_EPISODES"), std::string::npos);
+
+  setenv("A3CS_EVAL_EPISODES", "2", 1);
+  EXPECT_TRUE(util::validate_bench_env().empty());
+
+  unsetenv("A3CS_SCALE");
+  unsetenv("A3CS_EVAL_EPISODES");
+}
+
 // ------------------------------------------------------------- Logging ----
 
 TEST(Logging, CheckMacroThrowsWithMessage) {

@@ -214,9 +214,8 @@ void rule_det_wall_clock(const Ctx& c) {
 
 // ---------------------------------------------------------- det-bench-clock --
 
-// Bench code must read time through the injectable monotonic clock
-// (obs::perf::BenchSuite::now_ns) — a raw wall clock makes measurements
-// NTP-step sensitive and the registry untestable with a fake clock.
+// Bench code must time with the monotonic std::chrono::steady_clock — a raw
+// wall clock makes measurements NTP-step sensitive.
 void rule_det_bench_clock(const Ctx& c) {
   if (!starts_with(c.path, "bench/")) return;
   const auto& toks = c.toks();
@@ -227,9 +226,8 @@ void rule_det_bench_clock(const Ctx& c) {
         (t == "time" && c.punct_at(i + 1, "(") && c.std_qualified(i))) {
       c.report(toks[i].line, "det-bench-clock",
                "wall clock (" + t +
-                   ") in bench code — sample time via the injectable "
-                   "monotonic obs::perf::BenchSuite::now_ns() so runs are "
-                   "NTP-immune and fake-clock testable");
+                   ") in bench code — time with the monotonic "
+                   "std::chrono::steady_clock so runs are NTP-immune");
     }
   }
 }

@@ -20,7 +20,7 @@
 //   det-wall-clock          any clock in numeric code (tensor/nn/nas/rl/das/
 //                           accel/arcade) — timing belongs in obs/ or bench
 //   det-bench-clock         wall clock (system_clock/gettimeofday/...) in
-//                           bench/ — sample via BenchSuite::now_ns instead
+//                           bench/ — time with std::chrono::steady_clock
 //   det-unordered-iter      range-for over unordered containers in
 //                           save_state/load_state bodies or src/obs/ emission
 //   ser-pair                class declares save_state xor load_state
